@@ -53,23 +53,23 @@ def embedded_projector(gram, coeffs) -> np.ndarray:
     return np.outer(w, w.conj())
 
 
-def golden_form(gram, tol: float = FORM_TOL) -> GoldenForm | None:
+def golden_form(gram) -> GoldenForm | None:
     """Fit G = (1 - c) I + c u u^dag; return the form, or None when the
     setting admits no golden state."""
     G = np.asarray(gram, dtype=complex)
     d = G.shape[0]
     off = ~np.eye(d, dtype=bool)
     c = -float(np.mean(np.abs(G[off])))
-    if c < -tol:
+    if c < -FORM_TOL:
         u = np.conj(G[0, :] / c)
         u[0] = 1.0
-        if np.max(np.abs(np.abs(u) - 1.0)) > tol:
+        if np.max(np.abs(np.abs(u) - 1.0)) > FORM_TOL:
             return None
         u = u / np.abs(u)
     else:
         c, u = 0.0, np.ones(d, dtype=complex)
     model = (1.0 - c) * np.eye(d) + c * np.outer(u, u.conj())
-    if np.max(np.abs(G - model)) > tol:
+    if np.max(np.abs(G - model)) > FORM_TOL:
         return None
     if not (-1.0 / (d - 1) < c <= 0.0):
         return None

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import ROOT
+from hostspeed import REFERENCE_S, Gauge
 from reference import golden_form
 from supergram import freeops, golden, gram
-from tracing import PER_LAYER, Span, Tracer, layer_metrics
-from workloads import CIRCULANTS, SWEEP_FAMILIES, WORKLOADS, _circulant, _equal_real
+from tracing import PER_LAYER, PROBE, SPAN_METRICS, Span, Tracer, layer_metrics, probe_metrics
+from workloads import (
+    CIRCULANTS, PROBE_STATES, SWEEP_FAMILIES, WORKLOADS, _circulant, _equal_real,
+)
 import run
 import worker
 
@@ -121,7 +124,7 @@ def test_traced_and_untraced_runs_agree(workload):
     assert len(roots) == len(ops)
     assert all(s.parent < i and s.op in roots for i, s in enumerate(tracer.spans) if s.parent >= 0)
     metrics = layer_metrics(tracer.spans)
-    assert set(metrics) | {"trace.overhead_share"} == {name for name, _ in PER_LAYER}
+    assert set(metrics) == {name for name, _ in SPAN_METRICS}
     if workload == "sweep":
         assert metrics["golden.detect.calls"] == len(ops)
         assert metrics["golden.minimize.nfev"] > 0 and metrics["gram.eigensystem.calls"] >= len(ops)
@@ -146,6 +149,36 @@ def test_self_time_subtracts_direct_children():
     assert m["golden.minimize.s"] == pytest.approx(6.0)
     assert m["golden.search.starts"] == 50 and m["golden.minimize.nfev"] == 7
     assert m["golden.detect.degenerate_share"] == 1.0
+
+
+def test_probe_ops_do_not_depend_on_the_seed():
+    probes = [[_fingerprint(op.args) for op in WORKLOADS["monotone-apply"](seed).probe()]
+              for seed in (1, 2)]
+    assert probes[0] == probes[1] and len(probes[0]) == PROBE_STATES
+    assert WORKLOADS["sweep"](1).probe() == [] and WORKLOADS["certify"](1).probe() == []
+
+
+def test_probe_metrics_read_the_solver_spans():
+    spans = [
+        Span("op.monotone-probe", 0.0, 4.0, -1, 0),
+        Span("monotones.rel_entropy", 0.0, 3.0, 0, 0, {"iterations": 20000, "converged": False}),
+        Span("monotones.rel_entropy", 3.0, 4.0, 0, 0, {"iterations": 10, "converged": True}),
+    ]
+    m = probe_metrics(spans)
+    assert set(m) == {name for name, _ in PROBE}
+    assert m["monotones.rel_entropy.probe.iterations"] == 20010
+    assert m["monotones.rel_entropy.probe.converged_share"] == 0.5
+    assert m["monotones.rel_entropy.probe.self_s"] == pytest.approx(4.0)
+
+
+def test_gauge_scales_by_the_samples_near_an_op():
+    gauge = Gauge()
+    gauge.samples = [(0.0, REFERENCE_S), (10.0, 2 * REFERENCE_S)]
+    # a host at half the reference speed halves the time
+    assert gauge.scale(1.0, 0.0, 0.1) == pytest.approx(1.0)
+    assert gauge.scale(1.0, 10.0, 10.5) == pytest.approx(0.5)
+    # with no sample in the window, the nearest one counts
+    assert gauge.scale(1.0, 5.0, 5.4) == pytest.approx(0.5)
 
 
 def test_benchmark_json_matches_the_code():

@@ -49,8 +49,9 @@ ANNOTATE = {
     "monotones.rel_entropy": _rel_entropy_info,
 }
 
-# per-layer metrics with their units; every traced run reports all of them
-PER_LAYER = [
+# per-layer metrics with their units; every traced run reports all of them,
+# these from the spans of the timed mix
+SPAN_METRICS = [
     ("golden.detect.calls", "count"),
     ("golden.detect.self_s", "s"),
     ("golden.detect.degenerate_share", "share"),
@@ -80,8 +81,15 @@ PER_LAYER = [
     ("monotones.rel_entropy.iterations", "count"),
     ("monotones.rel_entropy.converged_share", "share"),
     ("monotones.l1.s", "s"),
-    ("trace.overhead_share", "share"),
 ]
+# the same solver totals over a workload's fixed probe ops, kept apart
+# from the timed mix
+PROBE = [
+    ("monotones.rel_entropy.probe.iterations", "count"),
+    ("monotones.rel_entropy.probe.converged_share", "share"),
+    ("monotones.rel_entropy.probe.self_s", "s"),
+]
+PER_LAYER = [*SPAN_METRICS, *PROBE, ("trace.overhead_share", "share")]
 
 
 @dataclass
@@ -167,8 +175,14 @@ class Tracer:
         return traced
 
 
+def probe_metrics(spans: list[Span]) -> dict[str, float]:
+    """The ``PROBE`` metrics from the spans of the probe ops."""
+    totals = layer_metrics(spans)
+    return {name: totals[name.replace(".probe", "")] for name, _ in PROBE}
+
+
 def layer_metrics(spans: list[Span]) -> dict[str, float]:
-    """Per-layer totals (without ``trace.overhead_share``) from spans."""
+    """The ``SPAN_METRICS`` totals from spans."""
     child = [0.0] * len(spans)
     for s in spans:
         if s.parent >= 0:
@@ -203,8 +217,8 @@ def layer_metrics(spans: list[Span]) -> dict[str, float]:
         ),
         "monotones.rel_entropy.converged_share": share("monotones.rel_entropy", "converged"),
     }
-    for metric, _ in PER_LAYER:
-        if metric in out or metric == "trace.overhead_share":
+    for metric, _ in SPAN_METRICS:
+        if metric in out:
             continue
         base, _, stat = metric.rpartition(".")
         if stat == "calls":
