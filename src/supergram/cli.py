@@ -73,7 +73,7 @@ def cmd_golden(path: str, verify: int = 0, seed: int = 0, tol: float = golden.AC
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = golden.detect(setting, accept_tol=tol)
+        report = golden.detect(setting, n_starts=golden.N_STARTS, accept_tol=tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,23 @@ terms of the candidate phases u_i = psi_i / |psi_i| reads
 
     G_il = (lambda_min - 1) / (d - 1) * u_i * conj(u_l)   for all i != l.
 
-``detect`` therefore scores candidates by both deviations.  This matters
-for degenerate minimal eigenspaces: at the equal-overlap setting s = 1/2
-in dimension 3, complex eigenspace combinations such as (1, w, w^2) with
-w = exp(2 pi i / 3) do satisfy the uniform-tilde condition, yet no free
-channel built from them is trace preserving, and the setting admits no
-golden state.  The search reports how far the best eigenspace vector
-remains from a certified golden state.
+With the unit diagonal this says that a golden state exists exactly when
+
+    G = (1 - c) I + c u u^dag,   |u_i| = 1,   c in (-1/(d-1), 0],
+
+and then u are its phases and lambda_min = 1 + (d - 1) c.  ``detect``
+decides by this closed form: it fits c and u in O(d^2) and accepts when
+the entrywise distance from G to the fitted form is within tolerance.
+The eigenspace itself does not decide.  At the equal-overlap setting
+s = 1/2 in dimension 3, complex combinations of the degenerate minimal
+eigenspace such as (1, w, w^2) with w = exp(2 pi i / 3) do satisfy the
+uniform-tilde condition, yet no free channel built from them is trace
+preserving, and the setting admits no golden state.
+
+On request (``n_starts > 0``) a multistart search of a degenerate minimal
+eigenspace reports how far the best eigenspace vector remains from a
+certified golden state.  It is a diagnostic only and never changes the
+verdict; scipy is imported when it first runs.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gram import (
     DEGENERACY_REL_TOL,
@@ -62,13 +71,22 @@ __all__ = [
     "table1_setting",
 ]
 
-# a candidate is accepted when both deviations fall below ACCEPT_TOL; a
-# best deviation above REJECT_TOL is confident evidence of nonexistence,
-# anything in between is flagged inconclusive
+# a setting is accepted when its distance from the golden form is at most
+# ACCEPT_TOL; a deviation above REJECT_TOL is confident evidence of
+# nonexistence, anything in between is flagged inconclusive
 ACCEPT_TOL = 1e-9
 REJECT_TOL = 1e-6
+# starts of the opt-in eigenspace search (``detect(..., n_starts=N_STARTS)``)
 N_STARTS = 50
 DETECT_SEED = 1905
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call so that
+    importing the package does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -85,9 +103,14 @@ class GoldenCandidate:
 class GoldenSearchReport:
     """Outcome of golden-state detection on one setting.
 
-    ``best_deviation`` is the smallest certified-goldenness deviation seen
-    (max of tilde deviation and free-channel residual); it is meaningful
-    when the outcome is "none".  ``inconclusive`` marks the gray zone
+    With ``n_starts == 0`` (the default) ``best_deviation`` is the
+    entrywise distance max |G - ((1 - c) I + c u u^dag)| from the Gram
+    matrix to its fitted golden form, the number that decided the
+    outcome.  When the eigenspace search ran (``n_starts > 0``, only on a
+    degenerate "none"), it is instead the smallest certified-goldenness
+    deviation the search saw over the eigenspace (max of tilde deviation
+    and free-channel residual), and ``n_starts`` counts its starts.
+    ``inconclusive`` marks a "none" whose deviation lies in the gray zone
     between acceptance and confident rejection.
     """
 
@@ -211,7 +234,7 @@ def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol=ACCEPT_TOL):
     """Multistart quasi-Newton search of the degenerate minimal eigenspace,
     followed by a derivative-free polish of the reported deviation.
 
-    Returns (best deviation, best coefficient vector, starts run).
+    Returns (best deviation, starts run).
     """
     d, m = X.shape
     rng = np.random.default_rng(seed)
@@ -225,9 +248,7 @@ def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol=ACCEPT_TOL):
         # cheap exit for the orthonormal-limit style cases
         dev0 = _deviation_of_params(p0, X, setting, lam)
         if dev0 <= accept_tol:
-            a = p0[0::2] + 1j * p0[1::2]
-            v = X @ a
-            return dev0, _normalized_from_raw(setting, v / np.linalg.norm(v)), 1
+            return dev0, 1
     while len(starts) < n_starts:
         starts.append(rng.standard_normal(2 * m))
 
@@ -247,7 +268,6 @@ def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol=ACCEPT_TOL):
     converged.sort(key=lambda item: item[0])
 
     best_dev = np.inf
-    best_x = converged[0][1]
     for _, x in converged[:3]:
         polish = minimize(
             _deviation_of_params,
@@ -256,69 +276,76 @@ def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol=ACCEPT_TOL):
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 1500},
         )
-        cand_dev = float(polish.fun)
-        if cand_dev < best_dev:
-            best_dev = cand_dev
-            best_x = polish.x
+        best_dev = min(best_dev, float(polish.fun))
     for _, x in converged:
-        dev = _deviation_of_params(x, X, setting, lam)
-        if dev < best_dev:
-            best_dev = dev
-            best_x = x
+        best_dev = min(best_dev, _deviation_of_params(x, X, setting, lam))
+    return best_dev, len(converged)
 
-    a = best_x[0::2] + 1j * best_x[1::2]
-    v = X @ a
-    psi = _normalized_from_raw(setting, v / np.linalg.norm(v))
-    return best_dev, psi, len(converged)
+
+def _golden_form(setting: GramSetting) -> tuple[float, np.ndarray, float]:
+    """Fit G = (1 - c) I + c u u^dag to the Gram matrix.
+
+    c = -mean |G_il| over the off-diagonal entries, and u carries the
+    phases of the first row (u_1 = 1; u = 1 when the row vanishes).
+    Returns (c, u, entrywise distance max |G - fitted form|).
+    """
+    G = setting.gram
+    d = setting.d
+    c = -float(np.mean(np.abs(G[~np.eye(d, dtype=bool)])))
+    # G_1l = c conj(u_l) with c <= 0, so u_l has the phase of -conj(G_1l)
+    row = -G[0].conj()
+    mods = np.abs(row)
+    u = np.where(mods > 0.0, row / np.where(mods > 0.0, mods, 1.0), 1.0)
+    u[0] = 1.0
+    model = (1.0 - c) * np.eye(d) + c * np.outer(u, u.conj())
+    return c, u, float(np.max(np.abs(G - model)))
 
 
 def detect(
     setting: GramSetting,
     degeneracy_rel_tol: float = DEGENERACY_REL_TOL,
-    n_starts: int = N_STARTS,
+    n_starts: int = 0,
     seed: int = DETECT_SEED,
     accept_tol: float = ACCEPT_TOL,
     reject_tol: float = REJECT_TOL,
 ) -> GoldenSearchReport:
     """Decide whether a setting admits a golden state and construct it.
 
-    For a nondegenerate minimal eigenvalue the minimal eigenvector is
-    accepted when its components share one modulus and its tilde vector is
-    uniform (both within ``accept_tol``).  For a degenerate minimal
-    eigenvalue of multiplicity m the unit sphere of the eigenspace is
-    searched over 2m - 2 effective real parameters with ``n_starts``
-    multistarts; acceptance additionally requires the free-channel
-    residual identity, and the report carries the smallest combined
-    deviation found when no vector qualifies.
+    The decision is the closed form: fit G = (1 - c) I + c u u^dag with
+    c = -mean |G_il| off the diagonal and u the phases of the first row,
+    and accept when the entrywise distance from G to the fit is at most
+    ``accept_tol`` and c lies in (-1/(d-1), 0].  The golden state is then
+    u / sqrt(d lambda) with lambda = 1 + (d - 1) c, the minimal
+    eigenvalue.  The eigensystem rejects dependent settings and supplies
+    ``multiplicity``.
 
-    The search is deterministic for a fixed ``seed``.
+    On "none" the report carries that distance as ``best_deviation`` and
+    is inconclusive when it is at most ``reject_tol``.  With
+    ``n_starts > 0`` a degenerate "none" additionally runs the multistart
+    search of the minimal eigenspace (deterministic for a fixed ``seed``),
+    whose smallest deviation then replaces the distance; the verdict does
+    not change.
     """
     es = eigensystem(setting, degeneracy_rel_tol)
     if es.lambda_min <= MIN_EIG_TOL:
         raise ValueError("setting is not positive definite (dependent basis)")
     group = list(es.min_group)
     m = len(group)
+    d = setting.d
+
+    c, u, dist = _golden_form(setting)
+    if dist <= accept_tol and -1.0 / (d - 1) < c <= 0.0:
+        lam = 1.0 + (d - 1) * c
+        # u^dag G u = d lam up to the fit distance; normalizing against G
+        # keeps the state normalized when a caller loosens accept_tol
+        psi = fix_phase(_normalized_from_raw(setting, u))
+        return GoldenSearchReport("found", _make_candidate(setting, psi, lam), dist, False, m, 0)
+    if m == 1 or n_starts <= 0:
+        return GoldenSearchReport("none", None, dist, dist <= reject_tol, m, 0)
+
     lam = float(np.mean(es.eigenvalues[group]))
-
-    if m == 1:
-        x = es.eigenvectors[:, 0]
-        psi = fix_phase(_normalized_from_raw(setting, x))
-        tdev = _tilde_deviation(setting, psi)
-        mods = np.abs(psi)
-        spread = float(mods.max() - mods.min())
-        if tdev <= accept_tol and spread <= accept_tol:
-            cand = _make_candidate(setting, psi, lam)
-            return GoldenSearchReport("found", cand, tdev, False, 1, 0)
-        best = max(tdev, spread)
-        return GoldenSearchReport("none", None, best, best <= reject_tol, 1, 0)
-
     X = es.eigenvectors[:, group]
-    best_dev, psi, starts_run = _degenerate_search(setting, X, lam, n_starts, seed, accept_tol)
-    tdev = _tilde_deviation(setting, psi)
-    sdev = _structural_deviation(setting, psi, lam)
-    if tdev <= accept_tol and sdev <= accept_tol:
-        cand = _make_candidate(setting, fix_phase(psi), lam)
-        return GoldenSearchReport("found", cand, best_dev, False, m, starts_run)
+    best_dev, starts_run = _degenerate_search(setting, X, lam, n_starts, seed, accept_tol)
     return GoldenSearchReport("none", None, best_dev, best_dev <= reject_tol, m, starts_run)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from supergram.cli import main
 from supergram.freeops import apply_map, build_kraus_set, build_s1, is_free_kraus
 from supergram.golden import (
+    N_STARTS,
     TABLE1_FAMILIES,
     closed_form_equal_real,
     degenerate_family_d3,
@@ -123,7 +124,7 @@ def test_criterion_3_d3_curves(tmp_path):
 
 
 def test_criterion_4_counterexample():
-    report = detect(equal_setting(3, 0.5))
+    report = detect(equal_setting(3, 0.5), n_starts=N_STARTS)
     assert report.outcome == "none"
     assert report.n_starts >= 50
     assert report.best_deviation > 1e-3
@@ -302,7 +303,7 @@ def test_criterion_10_oracle_cross_checks():
         es = eigensystem(setting)
         X = es.eigenvectors[:, list(es.min_group)]
         grid = grid_min_deviation(setting, X, es.lambda_min)
-        search = detect(setting).best_deviation
+        search = detect(setting, n_starts=N_STARTS).best_deviation
         worst_grid = max(worst_grid, abs(grid - search))
     assert worst_grid <= 1e-8
     print(

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import supergram
+from supergram import golden
+from supergram.freeops import build_kraus_set
 from supergram.gram import build_setting, eigensystem
 from supergram.golden import (
+    N_STARTS,
     TABLE1_FAMILIES,
     candidate_form,
     closed_form_d2,
@@ -13,8 +21,9 @@ from supergram.golden import (
     random_frame_d3,
     report_to_json,
     table1_row,
+    table1_setting,
 )
-from supergram.sampling import random_setting
+from supergram.sampling import random_setting, random_state
 from supergram.states import normalize, tilde
 
 
@@ -69,7 +78,7 @@ def test_detect_d2_real_found():
 
 
 def test_detect_equal_half_counterexample():
-    rep = detect(equal_setting(3, 0.5))
+    rep = detect(equal_setting(3, 0.5), n_starts=N_STARTS)
     assert rep.outcome == "none"
     assert rep.multiplicity == 2
     assert rep.n_starts >= 50
@@ -98,7 +107,7 @@ def test_detect_equal_positive_s_none_with_scaling_deviation():
     # the degenerate minimal eigenspace contains tilde-uniform vectors, but
     # none supports the free-channel construction; deviation grows with s
     for s in (0.2, 0.4):
-        rep = detect(equal_setting(3, s))
+        rep = detect(equal_setting(3, s), n_starts=N_STARTS)
         assert rep.outcome == "none"
         assert rep.best_deviation == pytest.approx(np.sqrt(3) / 2 * s, rel=1e-6)
 
@@ -340,8 +349,91 @@ def test_gray_zone_is_flagged_inconclusive():
     # an almost-orthonormal equal setting: the search lands between the
     # acceptance threshold and the confident-rejection threshold
     s = 1e-7
-    rep = detect(equal_setting(3, s))
+    rep = detect(equal_setting(3, s), n_starts=N_STARTS)
     assert rep.outcome == "none"
     assert 1e-9 < rep.best_deviation <= 1e-6
     assert rep.inconclusive
     assert rep.best_deviation == pytest.approx(np.sqrt(3) / 2 * s, rel=1e-4)
+
+
+# ------------------------------------------------------- closed-form decision
+
+def golden_form_setting(d, c, phases):
+    """The setting G = (1 - c) I + c u u^dag with u = exp(i phases)."""
+    u = np.exp(1j * np.asarray(phases))
+    G = (1 - c) * np.eye(d) + c * np.outer(u, u.conj())
+    return build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+
+
+def test_hermitian_circulants_admit_no_golden_state():
+    # the minimal eigenvectors are Fourier vectors, with equal moduli and a
+    # uniform tilde vector, but the free-channel residual identity fails
+    a = 0.2 * np.exp(1j * np.pi / 7)
+    st3 = build_setting(3, [(1, 2, a), (2, 3, a), (1, 3, np.conj(a))])
+    st4 = build_setting(4, [(1, 2, a), (1, 3, 0.1), (1, 4, np.conj(a)),
+                            (2, 3, a), (2, 4, 0.1), (3, 4, a)])
+    for st in (st3, st4):
+        rep = detect(st)
+        assert rep.outcome == "none"
+        assert not rep.inconclusive
+    rep = degeneracy_required_d3(st3)
+    assert not rep.admits_golden
+    assert rep.consistent
+
+
+def test_found_implies_every_target_certifies():
+    rng = np.random.default_rng(53)
+    settings = []
+    for d in range(2, 7):
+        for _ in range(6):
+            c = -float(rng.uniform(0.0, 1.0)) / (d - 1)
+            settings.append(golden_form_setting(d, c, rng.uniform(0.0, 2 * np.pi, d)))
+    for family, (_, _, _, (rlo, _)) in TABLE1_FAMILIES.items():
+        sign = -1.0 if rlo < 0 else 1.0
+        settings += [table1_setting(family, sign * mag) for mag in (0.1, 0.25, 0.4)]
+    for st in settings:
+        rep = detect(st)
+        assert rep.outcome == "found"
+        for _ in range(3):
+            phi = random_state(st, rng, full_rank=True)
+            assert build_kraus_set(rep.candidate.state, phi).certificate.passed
+
+
+def test_nudged_golden_form_is_rejected():
+    rng = np.random.default_rng(59)
+    for d in range(3, 7):
+        st = golden_form_setting(d, -0.5 / (d - 1), rng.uniform(0.0, 2 * np.pi, d))
+        assert detect(st).outcome == "found"
+        k = int(rng.integers(len(st.overlaps)))
+        nudged = [(i, j, s + 1e-5 if n == k else s) for n, (i, j, s) in enumerate(st.overlaps)]
+        rep = detect(build_setting(d, nudged))
+        assert rep.outcome == "none"
+        assert not rep.inconclusive
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(supergram.__file__))
+    code = "import sys, supergram; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_eigenspace_search_runs_only_on_request(monkeypatch):
+    calls = []
+    scipy_minimize = golden.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return scipy_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(golden, "minimize", counting)
+    rep = detect(equal_setting(3, 0.5))
+    assert rep.outcome == "none" and rep.n_starts == 0 and not calls
+    # the closed-form distance: off-diagonal 0.5 against the fitted -0.5
+    assert rep.best_deviation == pytest.approx(1.0, abs=1e-12)
+    rep = detect(equal_setting(3, 0.5), n_starts=N_STARTS)
+    assert rep.outcome == "none"
+    assert rep.n_starts >= 50
+    assert calls
