@@ -36,7 +36,6 @@ class ScanSpec:
     out: str
     d: int = 4
     phase: float = np.pi / 3
-    seed: int = 0
 
 
 def _fmt(x: float) -> str:
@@ -153,16 +152,15 @@ def cmd_scan(spec: ScanSpec) -> int:
         print("error: step must be positive", file=sys.stderr)
         return 2
     lo, hi = _scan_interval(spec)
-    margin = 1e-9
     values = []
     clipped = 0
     k = 0
     while True:
         s = round(spec.start + k * spec.step, 12)
-        if s > spec.stop + 1e-12:
+        if s > spec.stop + gram.ZERO_TOL:
             break
         k += 1
-        if s <= lo + margin or s >= hi - margin:
+        if s <= lo + gram.SCAN_EDGE_TOL or s >= hi - gram.SCAN_EDGE_TOL:
             clipped += 1
             continue
         values.append(s)
@@ -173,10 +171,10 @@ def cmd_scan(spec: ScanSpec) -> int:
             file=sys.stderr,
         )
     rows = []
-    for idx, s in enumerate(values):
+    for s in values:
         setting = _scan_setting(spec, s)
         lam_min = gram.eigensystem(setting).lambda_min
-        report = golden.detect(setting, seed=(spec.seed, idx))
+        report = golden.detect(setting)
         if report.outcome == "found":
             l1_golden = _fmt(monotones.l1_superposition(report.candidate.state))
         else:
@@ -226,9 +224,13 @@ def cmd_table1(out: str | None = None) -> int:
             )
     payload = {"rows": entries, "pass": failures == 0}
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         _print_json(payload)
     return 0 if failures == 0 else 1
@@ -272,7 +274,6 @@ def main(argv=None) -> int:
     p_scan.add_argument("--d", type=int, default=4, help="dimension for d-equal-real")
     p_scan.add_argument("--phase", type=float, default=float(np.pi / 3),
                         help="overlap phase for d2-complex")
-    p_scan.add_argument("--seed", type=int, default=0)
 
     p_table = sub.add_parser("table1", help="reproduce the d=3 sign-pattern table")
     p_table.add_argument("--out", default=None)
@@ -295,7 +296,6 @@ def main(argv=None) -> int:
             out=args.out,
             d=args.d,
             phase=args.phase,
-            seed=args.seed,
         )
         return cmd_scan(spec)
     if args.command == "table1":

@@ -25,6 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .gram import ANNIHILATION_TOL, DENSITY_TOL, FREE_ENTRY_TOL, FROBENIUS_TOL, PSD_TOL, ZERO_TOL
 from .gram import GramSetting, embedding, same_setting
 from .states import DensityOperator, SuperpositionState, density_pure
 
@@ -34,7 +35,6 @@ __all__ = [
     "FreeKraus",
     "KrausSet",
     "ResidualReport",
-    "TraceCertificate",
     "apply_map",
     "apply_mixed",
     "build_kraus_set",
@@ -48,10 +48,6 @@ __all__ = [
 
 # the d! enumeration is refused beyond this dimension (8! = 40320 operators)
 MAX_ENUM_DIM = 8
-
-FROBENIUS_TOL = 1e-9
-PSD_TOL = 1e-10
-ANNIHILATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +71,10 @@ class FreeKraus:
         }
 
 
-def is_free_kraus(M: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when every column of M has at most one entry above ``tol``."""
+def is_free_kraus(M: np.ndarray) -> bool:
+    """True when no column of M has two entries above ``FREE_ENTRY_TOL``."""
     M = np.asarray(M)
-    return bool(np.all(np.count_nonzero(np.abs(M) > tol, axis=0) <= 1))
+    return bool(np.all(np.count_nonzero(np.abs(M) > FREE_ENTRY_TOL, axis=0) <= 1))
 
 
 def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus]:
@@ -95,7 +91,7 @@ def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus
     d = psi.setting.d
     if d > MAX_ENUM_DIM:
         raise ValueError(f"refusing the {d}! operator enumeration beyond d = {MAX_ENUM_DIM}")
-    if np.min(np.abs(psi.coeffs)) <= 1e-12:
+    if np.min(np.abs(psi.coeffs)) <= ZERO_TOL:
         raise ValueError("initial state must have full superposition rank (no zero coefficient)")
     root = math.sqrt(1.0 / math.factorial(d))
     ratios = root * phi.coeffs[:, None] / psi.coeffs[None, :]
@@ -110,8 +106,12 @@ def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus
 
 def kraus_sum(setting: GramSetting, ops) -> np.ndarray:
     """The completeness matrix sum_n K_n^dag G K_n."""
+    return _add_kraus_terms(np.zeros_like(setting.gram), setting, ops)
+
+
+def _add_kraus_terms(total: np.ndarray, setting: GramSetting, ops) -> np.ndarray:
+    """Add K^dag G K of every operator to ``total`` in place."""
     G = setting.gram
-    total = np.zeros_like(G)
     for op in ops:
         K = op.matrix if isinstance(op, FreeKraus) else np.asarray(op, dtype=complex)
         total += K.conj().T @ G @ K
@@ -144,29 +144,25 @@ def residual(setting: GramSetting, ksum: np.ndarray, psi: SuperpositionState) ->
     ann = float(np.linalg.norm(R @ psi.coeffs))
     absR = np.abs(R)
     off = absR.sum(axis=1) - np.diag(absR)
-    dom = bool(np.all(np.real(np.diag(R)) >= -1e-12) and np.all(np.diag(absR) + 1e-12 >= off))
+    dom = bool(np.all(np.real(np.diag(R)) >= -ZERO_TOL) and np.all(np.diag(absR) + ZERO_TOL >= off))
     return ResidualReport(matrix=R, psd_margin=margin, annihilation=ann, diagonally_dominant=dom)
 
 
-def build_s2(
-    R: np.ndarray,
-    psi: SuperpositionState,
-    psd_tol: float = PSD_TOL,
-    annihilation_tol: float = ANNIHILATION_TOL,
-) -> list[FreeKraus]:
+def build_s2(R: np.ndarray, psi: SuperpositionState) -> list[FreeKraus]:
     """Single-row operators decomposing a PSD residual that kills psi.
 
     Eigenvectors of R with positive eigenvalue, scaled to w_m, become
     operators whose only nonzero row is conj(w_m); each contributes
-    w_m w_m^dag to the completeness sum and annihilates psi.
+    w_m w_m^dag to the completeness sum and annihilates psi.  Raises unless
+    R is PSD within ``PSD_TOL`` and |R psi| is within ``ANNIHILATION_TOL``.
     """
     R = np.asarray(R, dtype=complex)
     H = (R + R.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(H)
-    if float(evals[0]) < -psd_tol:
+    if float(evals[0]) < -PSD_TOL:
         raise ValueError(f"residual is not positive semidefinite (min eigenvalue {evals[0]})")
     ann = float(np.linalg.norm(R @ psi.coeffs))
-    if ann > annihilation_tol:
+    if ann > ANNIHILATION_TOL:
         raise ValueError(f"residual does not annihilate the initial state (|R psi| = {ann})")
     d = psi.setting.d
     ops = []
@@ -182,18 +178,10 @@ def build_s2(
     return ops
 
 
-@dataclass(frozen=True)
-class TraceCertificate:
-    frobenius_residual: float
-    passed: bool
-
-
-def verify_trace_preserving(setting: GramSetting, ops, tol: float = FROBENIUS_TOL) -> TraceCertificate:
-    """Check sum K^dag G K = G over all supplied operators (S1 and S2
-    alike) in Frobenius norm."""
-    total = kraus_sum(setting, ops)
-    res = float(np.linalg.norm(total - setting.gram))
-    return TraceCertificate(frobenius_residual=res, passed=bool(res <= tol))
+def verify_trace_preserving(setting: GramSetting, ops) -> float:
+    """Frobenius residual |sum K^dag G K - G| over all supplied operators
+    (S1 and S2 alike); trace preserving when at most ``FROBENIUS_TOL``."""
+    return float(np.linalg.norm(kraus_sum(setting, ops) - setting.gram))
 
 
 @dataclass(frozen=True)
@@ -248,20 +236,22 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
     ksum = kraus_sum(setting, s1)
     res = residual(setting, ksum, psi)
     s2 = build_s2(res.matrix, psi)
-    trace_cert = verify_trace_preserving(setting, s1 + s2)
+    # the S1 terms are already summed in ksum; add only the S2 terms
+    total = _add_kraus_terms(ksum.copy(), setting, s2)
+    frobenius = float(np.linalg.norm(total - setting.gram))
     cert = ChannelCertificate(
         n_s1=len(s1),
         n_s2=len(s2),
-        frobenius_residual=trace_cert.frobenius_residual,
+        frobenius_residual=frobenius,
         psd_margin=res.psd_margin,
         annihilation=res.annihilation,
         passed=bool(
-            trace_cert.passed
+            frobenius <= FROBENIUS_TOL
             and res.psd_margin >= -PSD_TOL
             and res.annihilation <= ANNIHILATION_TOL
         ),
     )
-    full_rank = bool(np.min(np.abs(phi.coeffs)) > 1e-12)
+    full_rank = bool(np.min(np.abs(phi.coeffs)) > ZERO_TOL)
     return KrausSet(
         setting=setting,
         s1=tuple(s1),
@@ -295,7 +285,7 @@ def apply_mixed(psi: SuperpositionState, targets, weights) -> DensityOperator:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(targets),):
         raise ValueError("need one weight per target")
-    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-10:
+    if np.any(weights < -ZERO_TOL) or abs(weights.sum() - 1.0) > DENSITY_TOL:
         raise ValueError("weights must be a probability vector")
     rho = density_pure(psi)
     total = np.zeros((psi.setting.d, psi.setting.d), dtype=complex)

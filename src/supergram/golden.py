@@ -40,14 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import (
-    DEGENERACY_REL_TOL,
-    MIN_EIG_TOL,
-    GramSetting,
-    build_setting,
-    eigensystem,
-    fix_phase,
-)
+from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, NORM_TOL, PAIR_REL_TOL, REJECT_TOL
+from .gram import TABLE1_TOL, UNIT_DIAGONAL_TOL, UNITARY_TOL, ZERO_TOL
+from .gram import GramSetting, build_setting, eigensystem, fix_phase
 from .states import SuperpositionState, normalize
 
 __all__ = [
@@ -71,11 +66,6 @@ __all__ = [
     "table1_setting",
 ]
 
-# a setting is accepted when its distance from the golden form is at most
-# ACCEPT_TOL; a deviation above REJECT_TOL is confident evidence of
-# nonexistence, anything in between is flagged inconclusive
-ACCEPT_TOL = 1e-9
-REJECT_TOL = 1e-6
 # starts of the opt-in eigenspace search (``detect(..., n_starts=N_STARTS)``)
 N_STARTS = 50
 DETECT_SEED = 1905
@@ -159,7 +149,7 @@ def candidate_form(setting: GramSetting, lambda_min: float, phases) -> Superposi
         raise ValueError(f"expected {setting.d} phases")
     coeffs = np.exp(1j * phases) / math.sqrt(setting.d * lambda_min)
     n2 = float(np.real(np.vdot(coeffs, setting.gram @ coeffs)))
-    if abs(n2 - 1.0) > 1e-8:
+    if abs(n2 - 1.0) > NORM_TOL:
         raise ValueError(
             f"candidate form is not normalized (psi^dag G psi = {n2}); "
             "lambda_min and phases are inconsistent with this setting"
@@ -177,7 +167,7 @@ def _structural_deviation(setting: GramSetting, coeffs: np.ndarray, lam: float) 
     extreme target, G_il - c u_i conj(u_l) with c = (lam - 1)/(d - 1)."""
     d = setting.d
     mods = np.abs(coeffs)
-    u = np.where(mods > 1e-12, coeffs / np.where(mods > 1e-12, mods, 1.0), 1.0)
+    u = np.where(mods > ZERO_TOL, coeffs / np.where(mods > ZERO_TOL, mods, 1.0), 1.0)
     c = (lam - 1.0) / (d - 1)
     M = setting.gram - c * np.outer(u, u.conj())
     np.fill_diagonal(M, 0.0)
@@ -206,7 +196,7 @@ def _search_objective(params: np.ndarray, X: np.ndarray, setting: GramSetting, l
     a = params[0::2] + 1j * params[1::2]
     v = X @ a
     nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
+    if nrm < ZERO_TOL:
         return 1e6
     psi = _normalized_from_raw(setting, v / nrm)
     d = setting.d
@@ -224,13 +214,13 @@ def _deviation_of_params(params: np.ndarray, X: np.ndarray, setting: GramSetting
     a = params[0::2] + 1j * params[1::2]
     v = X @ a
     nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
+    if nrm < ZERO_TOL:
         return 1e6
     psi = _normalized_from_raw(setting, v / nrm)
     return _deviation(setting, psi, lam)
 
 
-def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol=ACCEPT_TOL):
+def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol):
     """Multistart quasi-Newton search of the degenerate minimal eigenspace,
     followed by a derivative-free polish of the reported deviation.
 
@@ -303,11 +293,9 @@ def _golden_form(setting: GramSetting) -> tuple[float, np.ndarray, float]:
 
 def detect(
     setting: GramSetting,
-    degeneracy_rel_tol: float = DEGENERACY_REL_TOL,
     n_starts: int = 0,
     seed: int = DETECT_SEED,
     accept_tol: float = ACCEPT_TOL,
-    reject_tol: float = REJECT_TOL,
 ) -> GoldenSearchReport:
     """Decide whether a setting admits a golden state and construct it.
 
@@ -320,13 +308,13 @@ def detect(
     ``multiplicity``.
 
     On "none" the report carries that distance as ``best_deviation`` and
-    is inconclusive when it is at most ``reject_tol``.  With
+    is inconclusive when it is at most ``REJECT_TOL``.  With
     ``n_starts > 0`` a degenerate "none" additionally runs the multistart
     search of the minimal eigenspace (deterministic for a fixed ``seed``),
     whose smallest deviation then replaces the distance; the verdict does
     not change.
     """
-    es = eigensystem(setting, degeneracy_rel_tol)
+    es = eigensystem(setting)
     if es.lambda_min <= MIN_EIG_TOL:
         raise ValueError("setting is not positive definite (dependent basis)")
     group = list(es.min_group)
@@ -341,12 +329,12 @@ def detect(
         psi = fix_phase(_normalized_from_raw(setting, u))
         return GoldenSearchReport("found", _make_candidate(setting, psi, lam), dist, False, m, 0)
     if m == 1 or n_starts <= 0:
-        return GoldenSearchReport("none", None, dist, dist <= reject_tol, m, 0)
+        return GoldenSearchReport("none", None, dist, dist <= REJECT_TOL, m, 0)
 
     lam = float(np.mean(es.eigenvalues[group]))
     X = es.eigenvectors[:, group]
     best_dev, starts_run = _degenerate_search(setting, X, lam, n_starts, seed, accept_tol)
-    return GoldenSearchReport("none", None, best_dev, best_dev <= reject_tol, m, starts_run)
+    return GoldenSearchReport("none", None, best_dev, best_dev <= REJECT_TOL, m, starts_run)
 
 
 def _make_candidate(setting: GramSetting, psi: np.ndarray, lam: float) -> GoldenCandidate:
@@ -446,13 +434,13 @@ def table1_row(family: str, s: float) -> GoldenCandidate:
     if report.outcome != "found":
         raise RuntimeError(f"family {family!r} at s = {s} unexpectedly admits no golden state")
     cand = report.candidate
-    if abs(cand.lambda_min - lam_expected) > 1e-9:
+    if abs(cand.lambda_min - lam_expected) > TABLE1_TOL:
         raise RuntimeError(
             f"family {family!r} at s = {s}: detected lambda_min {cand.lambda_min} "
             f"differs from the family value {lam_expected}"
         )
     expected = normalize(np.asarray(pattern, dtype=complex), setting)
-    if _phase_aligned_distance(expected.coeffs, cand.state.coeffs) > 1e-9:
+    if _phase_aligned_distance(expected.coeffs, cand.state.coeffs) > TABLE1_TOL:
         raise RuntimeError(f"family {family!r} at s = {s}: detected state deviates from the pattern")
     return cand
 
@@ -463,12 +451,10 @@ def _phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a * phase - b))
 
 
-def random_frame_d3(rng: np.random.Generator, phases=None) -> np.ndarray:
+def random_frame_d3(rng: np.random.Generator) -> np.ndarray:
     """A 3x3 unitary whose first column has equal-modulus entries
-    e^{i theta_k} / sqrt(3); the remaining columns complete it."""
-    if phases is None:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    col0 = np.exp(1j * np.asarray(phases, dtype=float)) / math.sqrt(3.0)
+    e^{i theta_k} / sqrt(3) at random phases; the other columns complete it."""
+    col0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=3)) / math.sqrt(3.0)
     A = np.column_stack([col0, rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))])
     Q, _ = np.linalg.qr(A)
     # keep the intended first column exactly (QR fixes its phase arbitrarily)
@@ -498,14 +484,14 @@ def degenerate_family_d3(lambda1: float, frame: np.ndarray) -> GramSetting:
     frame = np.asarray(frame, dtype=complex)
     if frame.shape != (3, 3):
         raise ValueError("frame must be a 3x3 unitary")
-    if np.linalg.norm(frame.conj().T @ frame - np.eye(3)) > 1e-10:
+    if np.linalg.norm(frame.conj().T @ frame - np.eye(3)) > UNITARY_TOL:
         raise ValueError("frame must be unitary")
     x1 = frame[:, 0]
-    if np.max(np.abs(np.abs(x1) - 1.0 / math.sqrt(3.0))) > 1e-9:
+    if np.max(np.abs(np.abs(x1) - 1.0 / math.sqrt(3.0))) > EQUAL_MODULUS_TOL:
         raise ValueError("frame's first column must have equal-modulus entries (golden form)")
     lam2 = (3.0 - lam1) / 2.0
     G = lam2 * np.eye(3, dtype=complex) + (lam1 - lam2) * np.outer(x1, x1.conj())
-    if np.max(np.abs(np.diag(G) - 1.0)) > 1e-10:
+    if np.max(np.abs(np.diag(G) - 1.0)) > UNIT_DIAGONAL_TOL:
         raise ValueError("construction failed to produce a unit diagonal")
     return build_setting(3, [(1, 2, G[0, 1]), (1, 3, G[0, 2]), (2, 3, G[1, 2])])
 
@@ -521,7 +507,7 @@ class D3DegeneracyReport:
     consistent: bool
 
 
-def degeneracy_required_d3(setting: GramSetting, rel_tol: float = 1e-8) -> D3DegeneracyReport:
+def degeneracy_required_d3(setting: GramSetting) -> D3DegeneracyReport:
     """Check the d = 3 degeneracy rule on one setting.
 
     Returns a report rather than asserting, so a violation (none is known)
@@ -532,7 +518,7 @@ def degeneracy_required_d3(setting: GramSetting, rel_tol: float = 1e-8) -> D3Deg
     report = detect(setting)
     es = eigensystem(setting)
     lam2, lam3 = float(es.eigenvalues[1]), float(es.eigenvalues[2])
-    pair = abs(lam3 - lam2) <= rel_tol * max(abs(lam3), 1.0)
+    pair = abs(lam3 - lam2) <= PAIR_REL_TOL * max(abs(lam3), 1.0)
     admits = report.outcome == "found"
     return D3DegeneracyReport(
         admits_golden=admits,

@@ -30,18 +30,39 @@ __all__ = [
     "validate",
 ]
 
-# eigenvalues at or below this count as linear dependence
-MIN_EIG_TOL = 1e-12
-# relative tolerance for grouping degenerate eigenvalues
-DEGENERACY_REL_TOL = 1e-9
+# Tolerance table: every threshold that decides a verdict, raises an error
+# or sets a report flag, one name per decision.  Absolute except the two
+# _REL_ ones, which scale with the largest eigenvalue.
+ZERO_TOL = 1e-12  # a modulus, norm, asymmetry or negative weight counts as zero
+MIN_EIG_TOL = 1e-12  # Gram eigenvalues at or below count as linear dependence
+DET3_TOL = 1e-10  # |det3| at or below agrees with either independence verdict
+DEGENERACY_REL_TOL = 1e-9  # closer eigenvalues share a degeneracy group
+PAIR_REL_TOL = 1e-8  # d = 3 degeneracy rule: the two largest eigenvalues coincide
+UNITARY_TOL = 1e-10  # |U^dag U - I| of a frame rotation or a d = 3 family frame
+EQUAL_MODULUS_TOL = 1e-9  # d = 3 family frame: first-column moduli are 1/sqrt(3)
+UNIT_DIAGONAL_TOL = 1e-10  # the d = 3 family construction gives a unit diagonal
+NORM_TOL = 1e-8  # a directly constructed state is normalized
+NORMALIZED_INPUT_TOL = 1e-10  # a state loaded as normalized is kept as given
+DENSITY_TOL = 1e-10  # Hermitian, unit trace, PSD; mixture weights sum to one
+ACCEPT_TOL = 1e-9  # distance from the golden form at which a setting is accepted
+REJECT_TOL = 1e-6  # a "none" above this is confident, at or below inconclusive
+TABLE1_TOL = 1e-9  # a detected table1 row matches its family's closed form
+FROBENIUS_TOL = 1e-9  # channel completeness residual |sum K^dag G K - G|_F
+PSD_TOL = 1e-10  # the S1 residual's eigenvalues are at least -PSD_TOL
+ANNIHILATION_TOL = 1e-10  # |R psi| of the S1 residual on the source state
+FREE_ENTRY_TOL = 1e-10  # a free Kraus column has one entry above this at most
+GRAD_TOL = 1e-8  # projected gradient norm of a converged relative-entropy solve
+BOUND_L1_TOL = 1e-9  # slack of the l1 bound, for "within" and "attained"
+BOUND_REL_ENTROPY_TOL = 1e-5  # slack of the relative-entropy bound, likewise
+SCAN_EDGE_TOL = 1e-9  # scan grid points this close to an open end are clipped
 
 
-def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate ``v`` by a global phase so that its first component with
-    modulus above ``tol`` becomes real and positive."""
+    modulus above ``ZERO_TOL`` becomes real and positive."""
     v = np.asarray(v, dtype=complex)
     for c in v:
-        if abs(c) > tol:
+        if abs(c) > ZERO_TOL:
             return v * (abs(c) / c)
     return v.copy()
 
@@ -131,11 +152,11 @@ class ValidationReport:
         return out
 
 
-def validate(setting: GramSetting, tol: float = MIN_EIG_TOL) -> ValidationReport:
+def validate(setting: GramSetting) -> ValidationReport:
     """Check Hermiticity, unit diagonal and positive definiteness.
 
     Linear independence of the basis is exactly positive definiteness of
-    the Gram matrix; it holds when the smallest eigenvalue exceeds ``tol``.
+    the Gram matrix: the smallest eigenvalue exceeds ``MIN_EIG_TOL``.
     For d = 3 the closed-form determinant
 
         1 - |s12|^2 - |s13|^2 - |s23|^2 + 2 Re(s12 conj(s13) s23)
@@ -143,12 +164,12 @@ def validate(setting: GramSetting, tol: float = MIN_EIG_TOL) -> ValidationReport
     is evaluated as well and its sign checked against the eigenvalue test.
     """
     G = setting.gram
-    hermitian = bool(np.linalg.norm(G - G.conj().T) <= 1e-12)
-    unit_diagonal = bool(np.max(np.abs(np.diag(G) - 1.0)) <= 1e-12)
+    hermitian = bool(np.linalg.norm(G - G.conj().T) <= ZERO_TOL)
+    unit_diagonal = bool(np.max(np.abs(np.diag(G) - 1.0)) <= ZERO_TOL)
     evals = np.linalg.eigvalsh(G)
     lam_min = float(evals[0])
     lam_max = float(evals[-1])
-    independent = bool(lam_min > tol)
+    independent = bool(lam_min > MIN_EIG_TOL)
     cond = float(lam_max / lam_min) if lam_min > 0 else float("inf")
 
     det3 = None
@@ -162,7 +183,7 @@ def validate(setting: GramSetting, tol: float = MIN_EIG_TOL) -> ValidationReport
             - abs(s23) ** 2
             + 2.0 * np.real(s12 * np.conj(s13) * s23)
         )
-        det3_ok = bool((det3 > tol) == independent or abs(det3) <= 1e-10)
+        det3_ok = bool((det3 > MIN_EIG_TOL) == independent or abs(det3) <= DET3_TOL)
 
     return ValidationReport(
         hermitian=hermitian,
@@ -201,11 +222,11 @@ class EigenSystem:
         return self.groups[0]
 
 
-def eigensystem(setting: GramSetting, degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> EigenSystem:
+def eigensystem(setting: GramSetting) -> EigenSystem:
     """Eigendecompose the Gram matrix.
 
     Eigenvalues come back ascending; eigenvalues closer than
-    ``degeneracy_rel_tol * lambda_max`` (chained) share a degeneracy group.
+    ``DEGENERACY_REL_TOL * lambda_max`` (chained) share a degeneracy group.
     Each eigenvector is rotated so its first sizable component is real
     positive, making the output deterministic up to degeneracies.
     """
@@ -213,7 +234,7 @@ def eigensystem(setting: GramSetting, degeneracy_rel_tol: float = DEGENERACY_REL
     if not np.all(np.isfinite(evals)):
         raise ArithmeticError("eigensolver failed to converge on the Gram matrix")
     evecs = np.column_stack([fix_phase(evecs[:, k]) for k in range(setting.d)])
-    gap_tol = degeneracy_rel_tol * max(abs(evals[-1]), 1e-300)
+    gap_tol = DEGENERACY_REL_TOL * max(abs(evals[-1]), 1e-300)
     groups = [[0]]
     for k in range(1, setting.d):
         if evals[k] - evals[k - 1] <= gap_tol:
@@ -249,12 +270,12 @@ def embedding(setting: GramSetting) -> np.ndarray:
     return L.conj().T
 
 
-def reorient_embedding(V: np.ndarray, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def reorient_embedding(V: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Rotate the orthonormal frame by a unitary U; the Gram matrix
     (U V)^dag (U V) is unchanged."""
     U = np.asarray(U, dtype=complex)
     eye = np.eye(U.shape[0])
-    if np.linalg.norm(U.conj().T @ U - eye) > tol:
+    if np.linalg.norm(U.conj().T @ U - eye) > UNITARY_TOL:
         raise ValueError("frame rotation must be unitary")
     return U @ np.asarray(V, dtype=complex)
 

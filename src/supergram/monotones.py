@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GRAD_TOL
 from .gram import GramSetting, eigensystem, embedding
 from .states import DensityOperator, SuperpositionState
 
@@ -31,6 +32,8 @@ __all__ = [
 _Q_FLOOR = 1e-12
 # eigenvalue floor for the matrix logarithm
 _LOG_FLOOR = 1e-300
+# exponentiated-gradient iterations before the solve gives up
+_MAX_ITER = 20000
 
 
 def _coefficient_bilinear(rho) -> tuple[np.ndarray, GramSetting]:
@@ -87,19 +90,15 @@ class RelEntropyInfo:
     converged: bool
 
 
-def rel_entropy_superposition(
-    rho,
-    grad_tol: float = 1e-8,
-    max_iter: int = 20000,
-    full_output: bool = False,
-):
+def rel_entropy_superposition(rho, full_output: bool = False):
     """min_q S(rho || sum_k q_k |c_k><c_k|) over the probability simplex.
 
     The objective tr(rho ln rho) - tr(rho ln sigma(q)) is convex in q, and
     sigma(q) = V diag(q) V^dag in the embedding frame.  Exponentiated
     gradient steps with backtracking keep q strictly inside the simplex
-    (floor 1e-12); the iteration stops once the simplex-projected gradient
-    norm falls below ``grad_tol``.
+    (floor 1e-12); the iteration stops, converged, once the
+    simplex-projected gradient norm falls to ``GRAD_TOL``, and gives up
+    after 20000 iterations.
 
     With ``full_output`` the optimizer diagnostics are returned alongside
     the value.
@@ -136,7 +135,7 @@ def rel_entropy_superposition(
     iterations = 0
     pg_norm = _projected_gradient_norm(q, grad)
     eta = 1.0
-    while pg_norm > grad_tol and iterations < max_iter:
+    while pg_norm > GRAD_TOL and iterations < _MAX_ITER:
         step = eta
         accepted = False
         for _ in range(60):
@@ -165,7 +164,7 @@ def rel_entropy_superposition(
         q=q,
         iterations=iterations,
         gradient_norm=pg_norm,
-        converged=bool(pg_norm <= grad_tol),
+        converged=bool(pg_norm <= GRAD_TOL),
     )
     return (value, info) if full_output else value
 
@@ -222,18 +221,18 @@ class MonotoneReport:
             "overlaps": [float(x) for x in self.overlaps],
             "bounds": {"l1_max": self.l1_bound, "rel_ent_max": self.rel_entropy_bound},
             "attained": bool(
-                abs(self.l1 - self.l1_bound) <= 1e-9
-                and abs(self.rel_entropy - self.rel_entropy_bound) <= 1e-5
+                abs(self.l1 - self.l1_bound) <= BOUND_L1_TOL
+                and abs(self.rel_entropy - self.rel_entropy_bound) <= BOUND_REL_ENTROPY_TOL
             ),
         }
 
 
-def monotone_report(rho, rel_entropy_tol: float = 1e-8) -> MonotoneReport:
+def monotone_report(rho) -> MonotoneReport:
     """Evaluate both monotones, the basis overlaps, and the setting's
     extremal bounds for one state."""
     _, setting = _coefficient_bilinear(rho)
     lam_min = eigensystem(setting).lambda_min
-    value, info = rel_entropy_superposition(rho, grad_tol=rel_entropy_tol, full_output=True)
+    value, info = rel_entropy_superposition(rho, full_output=True)
     return MonotoneReport(
         l1=l1_superposition(rho),
         rel_entropy=value,
@@ -252,8 +251,8 @@ def bound_check(report: MonotoneReport, setting: GramSetting) -> BoundCheck:
     l1_max = (setting.d - 1) / lam_min
     re_max = float(np.log(setting.d / lam_min))
     return BoundCheck(
-        l1_within=bool(report.l1 <= l1_max + 1e-9),
-        rel_entropy_within=bool(report.rel_entropy <= re_max + 1e-5),
-        l1_attained=bool(abs(report.l1 - l1_max) <= 1e-9),
-        rel_entropy_attained=bool(abs(report.rel_entropy - re_max) <= 1e-5),
+        l1_within=bool(report.l1 <= l1_max + BOUND_L1_TOL),
+        rel_entropy_within=bool(report.rel_entropy <= re_max + BOUND_REL_ENTROPY_TOL),
+        l1_attained=bool(abs(report.l1 - l1_max) <= BOUND_L1_TOL),
+        rel_entropy_attained=bool(abs(report.rel_entropy - re_max) <= BOUND_REL_ENTROPY_TOL),
     )

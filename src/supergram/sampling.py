@@ -43,15 +43,14 @@ def random_state(
     setting: GramSetting,
     rng: np.random.Generator,
     full_rank: bool = False,
-    min_modulus: float = 0.05,
 ) -> SuperpositionState:
-    """A random normalized state; with ``full_rank`` every coefficient is
-    bounded away from zero (required of conversion targets)."""
+    """A random normalized state; with ``full_rank`` every coefficient
+    modulus is at least 0.05 of the largest (required of conversion targets)."""
     while True:
         v = rng.standard_normal(setting.d) + 1j * rng.standard_normal(setting.d)
         psi = normalize(v, setting)
         if not full_rank:
             return psi
         mods = np.abs(psi.coeffs)
-        if mods.min() >= min_modulus * mods.max():
+        if mods.min() >= 0.05 * mods.max():
             return psi

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gram import DENSITY_TOL, NORM_TOL, NORMALIZED_INPUT_TOL, ZERO_TOL
 from .gram import GramSetting, embedding, fix_phase, same_setting
 
 __all__ = [
@@ -26,9 +27,6 @@ __all__ = [
     "tilde",
 ]
 
-# loose guard on direct construction; normalize() is exact
-_NORM_GUARD = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionState:
@@ -42,7 +40,7 @@ class SuperpositionState:
         if coeffs.shape != (self.setting.d,):
             raise ValueError(f"expected {self.setting.d} coefficients, got shape {coeffs.shape}")
         n2 = np.real(np.vdot(coeffs, self.setting.gram @ coeffs))
-        if abs(n2 - 1.0) > _NORM_GUARD:
+        if abs(n2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: psi^dag G psi = {n2}")
         object.__setattr__(self, "coeffs", coeffs)
         self.coeffs.setflags(write=False)
@@ -57,7 +55,7 @@ def normalize(psi_raw, setting: GramSetting) -> SuperpositionState:
     global phase (first sizable component real positive)."""
     v = np.asarray(psi_raw, dtype=complex)
     n2 = float(np.real(np.vdot(v, setting.gram @ v)))
-    if n2 <= 1e-24:
+    if n2 <= ZERO_TOL**2:
         raise ValueError("cannot normalize a (numerically) zero vector")
     return SuperpositionState(fix_phase(v / np.sqrt(n2)), setting)
 
@@ -75,9 +73,9 @@ def tilde(psi: SuperpositionState) -> np.ndarray:
     return psi.coeffs.conj() * (psi.setting.gram @ psi.coeffs)
 
 
-def superposition_rank(psi: SuperpositionState, zero_tol: float = 1e-12) -> int:
-    """Number of coefficients with modulus above ``zero_tol``."""
-    return int(np.count_nonzero(np.abs(psi.coeffs) > zero_tol))
+def superposition_rank(psi: SuperpositionState) -> int:
+    """Number of coefficients with modulus above ``ZERO_TOL``."""
+    return int(np.count_nonzero(np.abs(psi.coeffs) > ZERO_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,12 +90,12 @@ class DensityOperator:
         d = self.setting.d
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")
-        if np.linalg.norm(rho - rho.conj().T) > 1e-10:
+        if np.linalg.norm(rho - rho.conj().T) > DENSITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > DENSITY_TOL:
             raise ValueError(f"density matrix has trace {tr}, expected 1")
-        if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) < -1e-10:
+        if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) < -DENSITY_TOL:
             raise ValueError("density matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", rho)
         self.matrix.setflags(write=False)
@@ -125,9 +123,9 @@ def density_mixed(states, weights) -> DensityOperator:
     weights = np.asarray(weights, dtype=float)
     if len(states) == 0 or weights.shape != (len(states),):
         raise ValueError("need one weight per state")
-    if np.any(weights < -1e-12):
+    if np.any(weights < -ZERO_TOL):
         raise ValueError("weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-10:
+    if abs(weights.sum() - 1.0) > DENSITY_TOL:
         raise ValueError(f"weights sum to {weights.sum()}, expected 1")
     setting = states[0].setting
     V = embedding(setting)
@@ -152,7 +150,7 @@ def state_from_json(obj: dict, setting: GramSetting) -> SuperpositionState:
 
     Coefficients are normalized on load unless the object asserts
     "normalized": true, in which case normalization is verified instead
-    (within 1e-10) and the coefficients are kept as given.
+    (within ``NORMALIZED_INPUT_TOL``) and the coefficients are kept as given.
     """
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("state JSON must be an object with a 'coeffs' field")
@@ -165,7 +163,7 @@ def state_from_json(obj: dict, setting: GramSetting) -> SuperpositionState:
         raise ValueError("malformed coefficient entries") from exc
     if obj.get("normalized", False):
         n2 = float(np.real(np.vdot(v, setting.gram @ v)))
-        if abs(n2 - 1.0) > 1e-10:
+        if abs(n2 - 1.0) > NORMALIZED_INPUT_TOL:
             raise ValueError(f"state asserted normalized but psi^dag G psi = {n2}")
         return SuperpositionState(v, setting)
     return normalize(v, setting)

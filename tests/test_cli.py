@@ -108,7 +108,7 @@ def test_scan_d2_real_matches_closed_form(tmp_path):
 def test_scan_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "--family", "d3-equal", "--from", "-0.2", "--to", "0.15",
-            "--step", "0.05", "--seed", "3"]
+            "--step", "0.05"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -197,6 +197,11 @@ def test_table1_passes(tmp_path, capsys):
     assert len(payload["rows"]) == 27
     text = capsys.readouterr().out
     assert "s,is,-is" in text
+
+
+def test_table1_unwritable_out_is_input_error(tmp_path, capsys):
+    assert main(["table1", "--out", str(tmp_path / "nodir" / "table.json")]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
 
 
 def test_monotones_golden_report(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supergram.freeops import (
+    FROBENIUS_TOL,
     ChannelCertificate,
     apply_map,
     apply_mixed,
@@ -215,16 +216,31 @@ def test_verify_trace_preserving():
     st, psi = golden_d2(0.6)
     phi = normalize(np.array([1.0, 0.0]), st)
     kset = build_kraus_set(psi, phi)
-    cert = verify_trace_preserving(st, kset.operators())
-    assert cert.passed and cert.frobenius_residual <= 1e-12
+    assert verify_trace_preserving(st, kset.operators()) <= 1e-12
 
     s1_only = verify_trace_preserving(st, kset.s1)
-    assert not s1_only.passed
-    assert s1_only.frobenius_residual == pytest.approx(1.2, abs=1e-10)
+    assert s1_only > FROBENIUS_TOL
+    assert s1_only == pytest.approx(1.2, abs=1e-10)
 
     empty = verify_trace_preserving(st, [])
-    assert not empty.passed
-    assert empty.frobenius_residual == pytest.approx(np.linalg.norm(st.gram), abs=1e-12)
+    assert empty > FROBENIUS_TOL
+    assert empty == pytest.approx(np.linalg.norm(st.gram), abs=1e-12)
+
+
+def test_certificate_residual_equals_full_resum():
+    # the certificate reuses the S1 completeness sum; it must equal the
+    # residual of summing every operator again from scratch
+    rng = np.random.default_rng(13)
+    for d in range(3, 7):
+        u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
+        c = -0.5 / (d - 1)
+        G = (1.0 - c) * np.eye(d) + c * np.outer(u, u.conj())
+        st = build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+        psi = detect(st).candidate.state
+        for _ in range(2):
+            kset = build_kraus_set(psi, random_state(st, rng, full_rank=True))
+            resum = np.linalg.norm(kraus_sum(st, kset.operators()) - st.gram)
+            assert kset.certificate.frobenius_residual == resum
 
 
 def test_channel_certificate_json():
@@ -272,7 +288,7 @@ def test_apply_map_identity_operator_set():
     eye_op = FreeKraus(np.eye(2), "general")
     cert = ChannelCertificate(
         n_s1=1, n_s2=0,
-        frobenius_residual=verify_trace_preserving(st, [eye_op]).frobenius_residual,
+        frobenius_residual=verify_trace_preserving(st, [eye_op]),
         psd_margin=0.0, annihilation=0.0, passed=True,
     )
     kset = KrausSet(

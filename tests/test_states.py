@@ -109,7 +109,7 @@ def test_superposition_rank():
     assert superposition_rank(normalize(np.array([1.0, 0, 0]), st)) == 1
     assert superposition_rank(normalize(np.ones(3), st)) == 3
     psi = normalize(np.array([1.0, 1e-15, 0.0]), st)
-    assert superposition_rank(psi, zero_tol=1e-12) == 1
+    assert superposition_rank(psi) == 1
 
 
 def test_density_pure_golden_orthonormal():
