@@ -67,6 +67,6 @@ from .monotones import (
     monotone_report,
     rel_entropy_superposition,
 )
-from .sampling import random_setting, random_state
+from .sampling import golden_setting, random_setting, random_state
 
 __version__ = "0.1.0"

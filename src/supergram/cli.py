@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,46 +194,48 @@ def cmd_scan(spec: ScanSpec) -> int:
 
 
 def cmd_table1(out: str | None = None) -> int:
-    sample = (0.1, 0.25, 0.4)
-    entries = []
-    failures = 0
-    header = f"{'family':>10}  {'s':>6}  {'lambda_min':>11}  {'pattern':>14}  status"
-    print(header)
-    print("-" * len(header))
-    for family, (_, (a, b), pattern, (rlo, _)) in golden.TABLE1_FAMILIES.items():
-        sign = -1.0 if rlo < 0 else 1.0
-        for mag in sample:
-            s = sign * mag
-            try:
-                cand = golden.table1_row(family, s)
-                status = "pass"
-            except (RuntimeError, ValueError) as exc:
-                status = f"FAIL ({exc})"
-                failures += 1
-                cand = None
-            pat = ",".join(str(p) for p in pattern)
-            lam = f"{a + b * s:.6f}" if cand is None else f"{cand.lambda_min:.6f}"
-            print(f"{family:>10}  {s:>6.2f}  {lam:>11}  {pat:>14}  {status}")
-            entries.append(
-                {
-                    "family": family,
-                    "s": s,
-                    "lambda_min": None if cand is None else cand.lambda_min,
-                    "pattern": pat,
-                    "pass": status == "pass",
-                }
-            )
-    payload = {"rows": entries, "pass": failures == 0}
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        _print_json(payload)
+    # open the output first, so a run that cannot write it prints nothing
+    try:
+        sink = open(out, "w", encoding="utf-8", newline="\n") if out else nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
+        return 2
+    with sink as fh:
+        sample = (0.1, 0.25, 0.4)
+        entries = []
+        failures = 0
+        header = f"{'family':>10}  {'s':>6}  {'lambda_min':>11}  {'pattern':>14}  status"
+        print(header)
+        print("-" * len(header))
+        for family, (_, (a, b), pattern, (rlo, _)) in golden.TABLE1_FAMILIES.items():
+            sign = -1.0 if rlo < 0 else 1.0
+            for mag in sample:
+                s = sign * mag
+                try:
+                    cand = golden.table1_row(family, s)
+                    status = "pass"
+                except (RuntimeError, ValueError) as exc:
+                    status = f"FAIL ({exc})"
+                    failures += 1
+                    cand = None
+                pat = ",".join(str(p) for p in pattern)
+                lam = f"{a + b * s:.6f}" if cand is None else f"{cand.lambda_min:.6f}"
+                print(f"{family:>10}  {s:>6.2f}  {lam:>11}  {pat:>14}  {status}")
+                entries.append(
+                    {
+                        "family": family,
+                        "s": s,
+                        "lambda_min": None if cand is None else cand.lambda_min,
+                        "pattern": pat,
+                        "pass": status == "pass",
+                    }
+                )
+        payload = {"rows": entries, "pass": failures == 0}
+        if fh is not None:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            _print_json(payload)
     return 0 if failures == 0 else 1
 
 

@@ -4,13 +4,29 @@ A Kraus matrix acting on coefficient vectors is free when every column has
 at most one nonzero entry.  Two families realize golden-state conversions:
 
 * S1 operators, one per permutation sigma, carry the transformation,
-  K[sigma(j), j] = sqrt(1/d!) phi_{sigma(j)} / psi_j, so each maps the
-  initial coefficient vector to sqrt(1/d!) times the target.
+  K[sigma(j), j] = sqrt(1/d!) r[sigma(j), j] with r_ij = phi_i / psi_j, so
+  each maps the initial coefficient vector to sqrt(1/d!) times the target.
 * S2 operators, one nonzero row each, annihilate the initial state and
   complete the channel: writing R = G - sum K^dag G K, an
   eigendecomposition R = sum_m w_m w_m^dag yields single-row operators
   with row m equal to conj(w_m), contributing exactly w_m w_m^dag because
   the Gram diagonal is one.
+
+The d! S1 operators are never needed one by one to build or apply the
+channel.  Of the d! permutations, (d-1)! send column j to row i, and
+(d-2)! send the pair of columns (j, k), j != k, to the pair of rows
+(i, l), i != l.  Weighting each by 1/d! gives the two sums in closed form:
+
+* completeness, sum K^dag G K: diagonal sum_i |r_ij|^2 / d, off-diagonal
+  part r^dag (G - I) r / (d (d-1));
+* action, sum K C K^dag: diagonal |r|^2 diag(C) / d, off-diagonal part
+  r (C - diag C) r^dag / (d (d-1)).
+
+Building and applying the S1 family therefore costs O(d^3) in time and
+O(d^2) in memory at every d; the at most d S2 operators stay explicit
+matrices.  ``build_s1`` still enumerates the operators, for export and as
+the oracle the closed forms are tested against, and refuses beyond
+``MAX_ENUM_DIM``.
 
 The whole set is trace preserving precisely when R is positive
 semidefinite and annihilates the initial vector; the certificate records
@@ -77,6 +93,15 @@ def is_free_kraus(M: np.ndarray) -> bool:
     return bool(np.all(np.count_nonzero(np.abs(M) > FREE_ENTRY_TOL, axis=0) <= 1))
 
 
+def _ratios(psi: SuperpositionState, phi: SuperpositionState) -> np.ndarray:
+    """The ratio matrix r_ij = phi_i / psi_j behind the S1 family."""
+    if not same_setting(psi.setting, phi.setting):
+        raise ValueError("initial and target state must share one setting")
+    if np.min(np.abs(psi.coeffs)) <= ZERO_TOL:
+        raise ValueError("initial state must have full superposition rank (no zero coefficient)")
+    return phi.coeffs[:, None] / psi.coeffs[None, :]
+
+
 def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus]:
     """The d! permutation-structured operators converting psi to phi.
 
@@ -86,15 +111,10 @@ def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus
     times phi's.  Requires every psi_j nonzero (full superposition rank).
     Target coefficients may vanish; the corresponding entries are zero.
     """
-    if not same_setting(psi.setting, phi.setting):
-        raise ValueError("initial and target state must share one setting")
     d = psi.setting.d
     if d > MAX_ENUM_DIM:
         raise ValueError(f"refusing the {d}! operator enumeration beyond d = {MAX_ENUM_DIM}")
-    if np.min(np.abs(psi.coeffs)) <= ZERO_TOL:
-        raise ValueError("initial state must have full superposition rank (no zero coefficient)")
-    root = math.sqrt(1.0 / math.factorial(d))
-    ratios = root * phi.coeffs[:, None] / psi.coeffs[None, :]
+    ratios = math.sqrt(1.0 / math.factorial(d)) * _ratios(psi, phi)
     ops = []
     for sigma in permutations(range(d)):
         K = np.zeros((d, d), dtype=complex)
@@ -102,6 +122,23 @@ def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus
             K[sigma[j], j] = ratios[sigma[j], j]
         ops.append(FreeKraus(K, "s1"))
     return ops
+
+
+def _s1_completeness(G: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum K^dag G K over the S1 family of ratio matrix r, in closed form."""
+    d = len(r)
+    total = r.conj().T @ (G - np.eye(d)) @ r / (d * (d - 1))
+    np.fill_diagonal(total, np.sum(np.abs(r) ** 2, axis=0) / d)
+    return total
+
+
+def _s1_action(r: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum K C K^dag over the S1 family of ratio matrix r, in closed form."""
+    d = len(r)
+    diag = np.diag(C)
+    out = r @ (C - np.diag(diag)) @ r.conj().T / (d * (d - 1))
+    np.fill_diagonal(out, np.abs(r) ** 2 @ diag / d)
+    return out
 
 
 def kraus_sum(setting: GramSetting, ops) -> np.ndarray:
@@ -209,16 +246,27 @@ class ChannelCertificate:
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """A certified superposition-free channel taking ``source`` to
-    ``target`` with uniform branch probability 1/d!."""
+    ``target`` with uniform branch probability 1/d!.
+
+    The S1 family is held as its ratio matrix r_ij = phi_i / psi_j; the
+    ``s1`` property enumerates its d! operators on demand.
+    """
 
     setting: GramSetting
-    s1: tuple
+    ratios: np.ndarray
     s2: tuple
     probability: float
     source: SuperpositionState
     target: SuperpositionState
     certificate: ChannelCertificate
     full_rank_target: bool
+
+    def __post_init__(self):
+        self.ratios.setflags(write=False)
+
+    @property
+    def s1(self) -> tuple:
+        return tuple(build_s1(self.source, self.target))
 
     def operators(self):
         return list(self.s1) + list(self.s2)
@@ -232,15 +280,14 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
     numerical signature that psi is not a golden state of its setting.
     """
     setting = psi.setting
-    s1 = build_s1(psi, phi)
-    ksum = kraus_sum(setting, s1)
+    r = _ratios(psi, phi)
+    ksum = _s1_completeness(setting.gram, r)
     res = residual(setting, ksum, psi)
     s2 = build_s2(res.matrix, psi)
-    # the S1 terms are already summed in ksum; add only the S2 terms
-    total = _add_kraus_terms(ksum.copy(), setting, s2)
+    total = _add_kraus_terms(ksum, setting, s2)
     frobenius = float(np.linalg.norm(total - setting.gram))
     cert = ChannelCertificate(
-        n_s1=len(s1),
+        n_s1=math.factorial(setting.d),
         n_s2=len(s2),
         frobenius_residual=frobenius,
         psd_margin=res.psd_margin,
@@ -254,7 +301,7 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
     full_rank = bool(np.min(np.abs(phi.coeffs)) > ZERO_TOL)
     return KrausSet(
         setting=setting,
-        s1=tuple(s1),
+        ratios=r,
         s2=tuple(s2),
         probability=1.0 / math.factorial(setting.d),
         source=psi,
@@ -272,8 +319,8 @@ def apply_map(kraus_set: KrausSet, rho: DensityOperator) -> DensityOperator:
         raise ValueError("channel and state belong to different settings")
     V = embedding(kraus_set.setting)
     C = rho.coefficient_matrix()
-    out = np.zeros_like(C)
-    for op in kraus_set.operators():
+    out = _s1_action(kraus_set.ratios, C)
+    for op in kraus_set.s2:
         out += op.matrix @ C @ op.matrix.conj().T
     return DensityOperator(V @ out @ V.conj().T, kraus_set.setting)
 

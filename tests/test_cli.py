@@ -49,6 +49,20 @@ def test_golden_found_with_verification(tmp_path, capsys):
     assert v["map_error"] <= 1e-10
 
 
+def test_golden_verify_beyond_enumeration_limit(tmp_path, capsys):
+    # d = 12 is past the explicit d! export limit; the channels still certify
+    d = 12
+    s = -0.5 / (d - 1)
+    overlaps = [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    path = write_setting(tmp_path, "d12.json", d, overlaps)
+    assert main(["golden", path, "--verify", "5"]) == 0
+    v = json.loads(capsys.readouterr().out)["verify"]
+    assert "failed" not in v
+    assert v["n_targets"] == 5
+    assert v["frobenius_residual"] <= 1e-9
+    assert v["map_error"] <= 1e-10
+
+
 def test_golden_none_exit_code(tmp_path, capsys):
     path = write_setting(tmp_path, "half.json", 3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
     assert main(["golden", path]) == 1
@@ -201,7 +215,9 @@ def test_table1_passes(tmp_path, capsys):
 
 def test_table1_unwritable_out_is_input_error(tmp_path, capsys):
     assert main(["table1", "--out", str(tmp_path / "nodir" / "table.json")]) == 2
-    assert "error: cannot write" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: cannot write" in captured.err
+    assert captured.out == ""
 
 
 def test_monotones_golden_report(tmp_path, capsys):

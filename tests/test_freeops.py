@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from supergram import freeops
 from supergram.freeops import (
     FROBENIUS_TOL,
     ChannelCertificate,
@@ -18,7 +20,7 @@ from supergram.freeops import (
 )
 from supergram.gram import build_setting, embedding
 from supergram.golden import closed_form_equal_real, detect
-from supergram.sampling import random_state
+from supergram.sampling import golden_setting, random_state
 from supergram.states import density_mixed, density_pure, normalize
 
 
@@ -227,20 +229,92 @@ def test_verify_trace_preserving():
     assert empty == pytest.approx(np.linalg.norm(st.gram), abs=1e-12)
 
 
-def test_certificate_residual_equals_full_resum():
-    # the certificate reuses the S1 completeness sum; it must equal the
-    # residual of summing every operator again from scratch
-    rng = np.random.default_rng(13)
-    for d in range(3, 7):
-        u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
-        c = -0.5 / (d - 1)
-        G = (1.0 - c) * np.eye(d) + c * np.outer(u, u.conj())
-        st = build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+def _random_golden_channels(rng, dims, per_dim=2):
+    """(setting, psi, kset) for random golden forms and full-rank targets."""
+    for d in dims:
+        c = rng.uniform(-1.0, 0.0) / (d - 1)
+        st = golden_setting(d, c, rng.uniform(0.0, 2.0 * np.pi, d))
         psi = detect(st).candidate.state
-        for _ in range(2):
-            kset = build_kraus_set(psi, random_state(st, rng, full_rank=True))
-            resum = np.linalg.norm(kraus_sum(st, kset.operators()) - st.gram)
-            assert kset.certificate.frobenius_residual == resum
+        for _ in range(per_dim):
+            yield st, psi, build_kraus_set(psi, random_state(st, rng, full_rank=True))
+
+
+def test_closed_form_completeness_matches_enumeration():
+    # the certificate sums the S1 family in closed form; the d! operators
+    # summed one by one must give the same completeness matrix
+    rng = np.random.default_rng(13)
+    for st, psi, kset in _random_golden_channels(rng, range(2, 7)):
+        explicit = kraus_sum(st, build_s1(psi, kset.target))
+        closed = freeops._s1_completeness(st.gram, kset.ratios)
+        assert np.max(np.abs(closed - explicit)) <= 1e-13
+        assert kset.certificate.frobenius_residual <= FROBENIUS_TOL
+        resum = verify_trace_preserving(st, kset.operators())
+        assert kset.certificate.frobenius_residual == pytest.approx(resum, abs=1e-13)
+
+
+def test_closed_form_action_matches_enumeration():
+    rng = np.random.default_rng(14)
+    for st, psi, kset in _random_golden_channels(rng, range(2, 7)):
+        rho = density_mixed([random_state(st, rng), random_state(st, rng)], [0.3, 0.7])
+        C = rho.coefficient_matrix()
+        explicit = sum(K.matrix @ C @ K.matrix.conj().T for K in build_s1(psi, kset.target))
+        closed = freeops._s1_action(kset.ratios, C)
+        assert np.max(np.abs(closed - explicit)) <= 1e-13
+
+
+def test_build_and_apply_never_enumerate(monkeypatch):
+    # building and applying a d = 8 channel touches nothing of size d!
+    def refuse(*args, **kwargs):
+        raise AssertionError("the d! enumeration ran on the build or apply path")
+
+    for name in ("build_s1", "kraus_sum", "permutations"):
+        monkeypatch.setattr(freeops, name, refuse)
+    rng = np.random.default_rng(15)
+    st = golden_setting(8, -0.5 / 7, rng.uniform(0.0, 2.0 * np.pi, 8))
+    psi = detect(st).candidate.state
+    rho = density_pure(psi)
+    phi = random_state(st, rng, full_rank=True)
+    tracemalloc.start()
+    try:
+        kset = build_kraus_set(psi, phi)
+        out = apply_map(kset, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kset.certificate.passed
+    assert kset.certificate.n_s1 == math.factorial(8)
+    assert np.linalg.norm(out.matrix - density_pure(phi).matrix) <= 1e-10
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("d", [16, 32, 50])
+def test_high_dimensional_golden_settings_certify(d):
+    rng = np.random.default_rng(d)
+    c = rng.uniform(-1.0, 0.0) / (d - 1)
+    st = golden_setting(d, c, rng.uniform(0.0, 2.0 * np.pi, d))
+    report = detect(st)
+    assert report.outcome == "found"
+    assert report.candidate.lambda_min == pytest.approx(1.0 + (d - 1) * c, abs=1e-12)
+    psi = report.candidate.state
+    rho = density_pure(psi)
+    for _ in range(25):
+        phi = random_state(st, rng, full_rank=True)
+        kset = build_kraus_set(psi, phi)
+        assert kset.certificate.passed
+        assert kset.certificate.frobenius_residual <= 1e-9
+        out = apply_map(kset, rho)
+        assert np.linalg.norm(out.matrix - density_pure(phi).matrix) <= 1e-10
+
+
+def test_golden_setting_rejects_invalid_forms():
+    with pytest.raises(ValueError):
+        golden_setting(4, -1.0 / 3, np.zeros(4))
+    with pytest.raises(ValueError):
+        golden_setting(4, 0.1, np.zeros(4))
+    with pytest.raises(ValueError):
+        golden_setting(4, -0.1, np.zeros(3))
+    with pytest.raises(ValueError):
+        golden_setting(1, 0.0, np.zeros(1))
 
 
 def test_channel_certificate_json():
@@ -287,12 +361,12 @@ def test_apply_map_identity_operator_set():
     rng = np.random.default_rng(3)
     eye_op = FreeKraus(np.eye(2), "general")
     cert = ChannelCertificate(
-        n_s1=1, n_s2=0,
+        n_s1=0, n_s2=1,
         frobenius_residual=verify_trace_preserving(st, [eye_op]),
         psd_margin=0.0, annihilation=0.0, passed=True,
     )
     kset = KrausSet(
-        setting=st, s1=(eye_op,), s2=(), probability=1.0,
+        setting=st, ratios=np.zeros((2, 2), dtype=complex), s2=(eye_op,), probability=1.0,
         source=psi, target=psi, certificate=cert, full_rank_target=True,
     )
     rho = density_mixed([random_state(st, rng), random_state(st, rng)], [0.5, 0.5])
@@ -314,7 +388,7 @@ def test_apply_map_requires_certificate():
     )
     broken = type(kset)(
         setting=kset.setting,
-        s1=kset.s1,
+        ratios=kset.ratios,
         s2=kset.s2,
         probability=kset.probability,
         source=kset.source,
