@@ -4,15 +4,17 @@ table, and evaluate monotones.
 
 Exit codes: 0 success, 1 domain-negative result (dependent basis, no
 golden state, table mismatch), 2 input error, 3 inconclusive detection.
+Each command raises ``OSError`` or ``ValueError`` on bad input, and
+``main`` alone turns that into exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +23,7 @@ from .freeops import build_kraus_set, apply_map
 from .sampling import random_state
 from .states import density_pure, state_from_json
 
-__all__ = ["ScanSpec", "main", "entry"]
-
-_FAMILIES = ("d2-real", "d2-complex", "d3-equal", "d3-mixed-sign", "d-equal-real")
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """One CSV sweep: a parameter family, a closed grid, an output path."""
-
-    family: str
-    start: float
-    stop: float
-    step: float
-    out: str
-    d: int = 4
-    phase: float = np.pi / 3
+__all__ = ["main", "entry"]
 
 
 def _fmt(x: float) -> str:
@@ -48,17 +35,24 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _load_setting(path: str) -> gram.GramSetting:
+    return gram.setting_from_json(_load_json(path))
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def cmd_validate(path: str) -> int:
-    try:
-        setting = gram.setting_from_json(_load_json(path))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = gram.validate(setting)
+def cmd_validate(args) -> int:
+    report = gram.validate(_load_setting(args.path))
     _print_json(report.to_json())
     if not report.linearly_independent:
         print("dependent basis", file=sys.stderr)
@@ -66,24 +60,20 @@ def cmd_validate(path: str) -> int:
     return 0
 
 
-def cmd_golden(path: str, verify: int = 0, seed: int = 0, tol: float = golden.ACCEPT_TOL) -> int:
-    try:
-        setting = gram.setting_from_json(_load_json(path))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = golden.detect(setting, n_starts=golden.N_STARTS, accept_tol=tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_golden(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
+    if args.verify < 0:
+        raise ValueError(f"--verify must be non-negative, got {args.verify}")
+    setting = _load_setting(args.path)
+    report = golden.detect(setting, n_starts=golden.N_STARTS, accept_tol=args.tol)
     payload = golden.report_to_json(report)
-    if report.outcome == "found" and verify > 0:
-        rng = np.random.default_rng(seed)
+    if report.outcome == "found" and args.verify > 0:
+        rng = np.random.default_rng(args.seed)
         worst = {"frobenius_residual": 0.0, "psd_margin": 0.0, "annihilation": 0.0, "map_error": 0.0}
         psi = report.candidate.state
         rho = density_pure(psi)
-        for k in range(verify):
+        for k in range(args.verify):
             phi = random_state(setting, rng, full_rank=True)
             try:
                 kset = build_kraus_set(psi, phi)
@@ -94,160 +84,127 @@ def cmd_golden(path: str, verify: int = 0, seed: int = 0, tol: float = golden.AC
                 payload["verify"] = {"n_targets": k, "failed": str(exc), **worst}
                 _print_json(payload)
                 return 3
-            target = density_pure(phi)
-            worst["frobenius_residual"] = max(
-                worst["frobenius_residual"], kset.certificate.frobenius_residual
-            )
-            worst["psd_margin"] = min(worst["psd_margin"], kset.certificate.psd_margin)
-            worst["annihilation"] = max(worst["annihilation"], kset.certificate.annihilation)
-            worst["map_error"] = max(
-                worst["map_error"], float(np.linalg.norm(out.matrix - target.matrix))
-            )
-        payload["verify"] = {"n_targets": verify, **worst}
+            cert = kset.certificate
+            map_error = float(np.linalg.norm(out.matrix - density_pure(phi).matrix))
+            worst["frobenius_residual"] = max(worst["frobenius_residual"], cert.frobenius_residual)
+            worst["psd_margin"] = min(worst["psd_margin"], cert.psd_margin)
+            worst["annihilation"] = max(worst["annihilation"], cert.annihilation)
+            worst["map_error"] = max(worst["map_error"], map_error)
+        payload["verify"] = {"n_targets": args.verify, **worst}
     _print_json(payload)
     if report.outcome == "found":
         return 0
     return 3 if report.inconclusive else 1
 
 
-def _scan_interval(spec: ScanSpec) -> tuple[float, float]:
-    if spec.family in ("d2-real", "d2-complex"):
-        return (-1.0, 1.0)
-    if spec.family == "d3-equal":
-        return (-0.5, 1.0)
-    if spec.family == "d3-mixed-sign":
-        return (-1.0, 0.5)
-    return (1.0 / (1.0 - spec.d), 1.0)
+def _l1_d2(s: float) -> float:
+    return 1.0 / (1.0 - s) if s >= 0 else 1.0 / (1.0 + s)
 
 
-def _scan_setting(spec: ScanSpec, s: float) -> gram.GramSetting:
-    if spec.family == "d2-real":
-        return gram.build_setting(2, [(1, 2, s)])
-    if spec.family == "d2-complex":
-        return gram.build_setting(2, [(1, 2, s * np.exp(1j * spec.phase))])
-    if spec.family == "d3-equal":
-        return gram.build_setting(3, [(1, 2, s), (1, 3, s), (2, 3, s)])
-    if spec.family == "d3-mixed-sign":
-        return gram.build_setting(3, [(1, 2, -s), (1, 3, s), (2, 3, s)])
-    d = spec.d
+def _equal_setting(d: int, s: float) -> gram.GramSetting:
     return gram.build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
 
 
-def _scan_closed_form(spec: ScanSpec, s: float) -> float | None:
-    if spec.family in ("d2-real", "d2-complex"):
-        return 1.0 / (1.0 - s) if s >= 0 else 1.0 / (1.0 + s)
-    if spec.family == "d3-equal":
-        return 2.0 / (1.0 + 2.0 * s) if s <= 0 else None
-    if spec.family == "d3-mixed-sign":
-        return 2.0 / (1.0 - 2.0 * s) if s >= 0 else None
-    if s <= 0:
-        return (spec.d - 1) / (1.0 + (spec.d - 1) * s)
-    return None
+# Each scan family, given the parsed arguments: the open interval of
+# admissible s, the setting at s, and the closed-form golden l1 at s (None
+# where the family has no golden state).
+_FAMILIES = {
+    "d2-real": lambda a: ((-1.0, 1.0), lambda s: gram.build_setting(2, [(1, 2, s)]), _l1_d2),
+    "d2-complex": lambda a: (
+        (-1.0, 1.0),
+        lambda s: gram.build_setting(2, [(1, 2, s * np.exp(1j * a.phase))]),
+        _l1_d2,
+    ),
+    "d3-equal": lambda a: (
+        (-0.5, 1.0),
+        lambda s: _equal_setting(3, s),
+        lambda s: 2.0 / (1.0 + 2.0 * s) if s <= 0 else None,
+    ),
+    "d3-mixed-sign": lambda a: (
+        (-1.0, 0.5),
+        lambda s: gram.build_setting(3, [(1, 2, -s), (1, 3, s), (2, 3, s)]),
+        lambda s: 2.0 / (1.0 - 2.0 * s) if s >= 0 else None,
+    ),
+    "d-equal-real": lambda a: (
+        (1.0 / (1.0 - a.d), 1.0),
+        lambda s: _equal_setting(a.d, s),
+        lambda s: (a.d - 1) / (1.0 + (a.d - 1) * s) if s <= 0 else None,
+    ),
+}
 
 
-def cmd_scan(spec: ScanSpec) -> int:
-    if spec.family not in _FAMILIES:
-        print(f"error: unknown family {spec.family!r}", file=sys.stderr)
-        return 2
-    if spec.step <= 0:
-        print("error: step must be positive", file=sys.stderr)
-        return 2
-    lo, hi = _scan_interval(spec)
-    values = []
+def cmd_scan(args) -> int:
+    if not all(math.isfinite(x) for x in (args.start, args.stop, args.step)):
+        raise ValueError("--from, --to and --step must be finite")
+    if args.step <= 0:
+        raise ValueError("step must be positive")
+    # grid points are rounded to 12 decimals: a finer step repeats points or stalls
+    if args.step < 1e-12:
+        raise ValueError(f"step must be at least 1e-12, got {args.step}")
+    if args.family == "d-equal-real" and args.d < 2:
+        raise ValueError(f"--d must be at least 2, got {args.d}")
+    (lo, hi), setting_at, l1_closed_form = _FAMILIES[args.family](args)
+    lines = ["s,lambda_min,l1_golden,l1_closed_form\n"]
     clipped = 0
-    k = 0
-    while True:
-        s = round(spec.start + k * spec.step, 12)
-        if s > spec.stop + gram.ZERO_TOL:
+    for k in itertools.count():
+        s = round(args.start + k * args.step, 12)
+        if s > args.stop + gram.ZERO_TOL:
             break
-        k += 1
         if s <= lo + gram.SCAN_EDGE_TOL or s >= hi - gram.SCAN_EDGE_TOL:
             clipped += 1
             continue
-        values.append(s)
+        setting = setting_at(s)
+        lam_min = gram.eigensystem(setting).lambda_min
+        report = golden.detect(setting)
+        found = report.outcome == "found"
+        l1_golden = monotones.l1_superposition(report.candidate.state) if found else None
+        row = (s, lam_min, l1_golden, l1_closed_form(s))
+        lines.append(",".join("" if x is None else _fmt(x) for x in row) + "\n")
     if clipped:
         print(
             f"warning: {clipped} grid point(s) outside the admissible interval "
             f"({_fmt(lo)}, {_fmt(hi)}) were clipped",
             file=sys.stderr,
         )
-    rows = []
-    for s in values:
-        setting = _scan_setting(spec, s)
-        lam_min = gram.eigensystem(setting).lambda_min
-        report = golden.detect(setting)
-        if report.outcome == "found":
-            l1_golden = _fmt(monotones.l1_superposition(report.candidate.state))
-        else:
-            l1_golden = ""
-        cf = _scan_closed_form(spec, s)
-        rows.append((_fmt(s), _fmt(lam_min), l1_golden, "" if cf is None else _fmt(cf)))
-    try:
-        with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("s,lambda_min,l1_golden,l1_closed_form\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {spec.out!r}: {exc}", file=sys.stderr)
-        return 2
+    _write(args.out, "".join(lines))
     return 0
 
 
-def cmd_table1(out: str | None = None) -> int:
-    # open the output first, so a run that cannot write it prints nothing
-    try:
-        sink = open(out, "w", encoding="utf-8", newline="\n") if out else nullcontext()
-    except OSError as exc:
-        print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
-        return 2
-    with sink as fh:
-        sample = (0.1, 0.25, 0.4)
-        entries = []
-        failures = 0
-        header = f"{'family':>10}  {'s':>6}  {'lambda_min':>11}  {'pattern':>14}  status"
-        print(header)
-        print("-" * len(header))
-        for family, (_, (a, b), pattern, (rlo, _)) in golden.TABLE1_FAMILIES.items():
-            sign = -1.0 if rlo < 0 else 1.0
-            for mag in sample:
-                s = sign * mag
-                try:
-                    cand = golden.table1_row(family, s)
-                    status = "pass"
-                except (RuntimeError, ValueError) as exc:
-                    status = f"FAIL ({exc})"
-                    failures += 1
-                    cand = None
-                pat = ",".join(str(p) for p in pattern)
-                lam = f"{a + b * s:.6f}" if cand is None else f"{cand.lambda_min:.6f}"
-                print(f"{family:>10}  {s:>6.2f}  {lam:>11}  {pat:>14}  {status}")
-                entries.append(
-                    {
-                        "family": family,
-                        "s": s,
-                        "lambda_min": None if cand is None else cand.lambda_min,
-                        "pattern": pat,
-                        "pass": status == "pass",
-                    }
-                )
-        payload = {"rows": entries, "pass": failures == 0}
-        if fh is not None:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            _print_json(payload)
-    return 0 if failures == 0 else 1
+def cmd_table1(args) -> int:
+    header = f"{'family':>10}  {'s':>6}  {'lambda_min':>11}  {'pattern':>14}  status"
+    lines = [header, "-" * len(header)]
+    entries = []
+    for family, (_, (a, b), pattern, (rlo, _)) in golden.TABLE1_FAMILIES.items():
+        sign = -1.0 if rlo < 0 else 1.0
+        for mag in (0.1, 0.25, 0.4):
+            s = sign * mag
+            try:
+                cand = golden.table1_row(family, s)
+                status = "pass"
+            except (RuntimeError, ValueError) as exc:
+                status = f"FAIL ({exc})"
+                cand = None
+            pat = ",".join(str(p) for p in pattern)
+            lam = f"{a + b * s:.6f}" if cand is None else f"{cand.lambda_min:.6f}"
+            lines.append(f"{family:>10}  {s:>6.2f}  {lam:>11}  {pat:>14}  {status}")
+            lam_min = None if cand is None else cand.lambda_min
+            entries.append({"family": family, "s": s, "lambda_min": lam_min, "pattern": pat,
+                            "pass": status == "pass"})
+    passed = all(e["pass"] for e in entries)
+    payload = json.dumps({"rows": entries, "pass": passed}, indent=2)
+    # write before printing, so a run that cannot write prints nothing
+    if args.out:
+        _write(args.out, payload + "\n")
+    else:
+        lines.append(payload)
+    print("\n".join(lines))
+    return 0 if passed else 1
 
 
-def cmd_monotones(setting_path: str, state_path: str) -> int:
-    try:
-        setting = gram.setting_from_json(_load_json(setting_path))
-        psi = state_from_json(_load_json(state_path), setting)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = monotones.monotone_report(psi)
-    _print_json(report.to_json())
+def cmd_monotones(args) -> int:
+    setting = _load_setting(args.setting)
+    psi = state_from_json(_load_json(args.state), setting)
+    _print_json(monotones.monotone_report(psi).to_json())
     return 0
 
 
@@ -260,6 +217,7 @@ def main(argv=None) -> int:
 
     p_validate = sub.add_parser("validate", help="validate a setting JSON file")
     p_validate.add_argument("path")
+    p_validate.set_defaults(run=cmd_validate)
 
     p_golden = sub.add_parser("golden", help="detect the golden state of a setting")
     p_golden.add_argument("path")
@@ -267,9 +225,10 @@ def main(argv=None) -> int:
                           help="certify channels to N random full-rank targets")
     p_golden.add_argument("--seed", type=int, default=0)
     p_golden.add_argument("--tol", type=float, default=golden.ACCEPT_TOL)
+    p_golden.set_defaults(run=cmd_golden)
 
     p_scan = sub.add_parser("scan", help="sweep a parameter family to CSV")
-    p_scan.add_argument("--family", required=True, choices=_FAMILIES)
+    p_scan.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p_scan.add_argument("--from", dest="start", type=float, required=True)
     p_scan.add_argument("--to", dest="stop", type=float, required=True)
     p_scan.add_argument("--step", type=float, required=True)
@@ -277,34 +236,28 @@ def main(argv=None) -> int:
     p_scan.add_argument("--d", type=int, default=4, help="dimension for d-equal-real")
     p_scan.add_argument("--phase", type=float, default=float(np.pi / 3),
                         help="overlap phase for d2-complex")
+    p_scan.set_defaults(run=cmd_scan)
 
     p_table = sub.add_parser("table1", help="reproduce the d=3 sign-pattern table")
     p_table.add_argument("--out", default=None)
+    p_table.set_defaults(run=cmd_table1)
 
     p_mono = sub.add_parser("monotones", help="evaluate monotones of a state")
     p_mono.add_argument("setting")
     p_mono.add_argument("state")
+    p_mono.set_defaults(run=cmd_monotones)
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.path)
-    if args.command == "golden":
-        return cmd_golden(args.path, verify=args.verify, seed=args.seed, tol=args.tol)
-    if args.command == "scan":
-        spec = ScanSpec(
-            family=args.family,
-            start=args.start,
-            stop=args.stop,
-            step=args.step,
-            out=args.out,
-            d=args.d,
-            phase=args.phase,
-        )
-        return cmd_scan(spec)
-    if args.command == "table1":
-        return cmd_table1(args.out)
-    return cmd_monotones(args.setting, args.state)
+    try:
+        return args.run(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

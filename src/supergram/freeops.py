@@ -41,7 +41,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .gram import ANNIHILATION_TOL, DENSITY_TOL, FREE_ENTRY_TOL, FROBENIUS_TOL, PSD_TOL, ZERO_TOL
+from .gram import ANNIHILATION_TOL, DENSITY_TOL, FREE_ENTRY_TOL, FROBENIUS_TOL, PSD_TOL
+from .gram import S2_EIG_TOL, ZERO_TOL
 from .gram import GramSetting, embedding, same_setting
 from .states import DensityOperator, SuperpositionState, density_pure
 
@@ -188,7 +189,7 @@ def residual(setting: GramSetting, ksum: np.ndarray, psi: SuperpositionState) ->
 def build_s2(R: np.ndarray, psi: SuperpositionState) -> list[FreeKraus]:
     """Single-row operators decomposing a PSD residual that kills psi.
 
-    Eigenvectors of R with positive eigenvalue, scaled to w_m, become
+    Eigenvectors of R with eigenvalue above ``S2_EIG_TOL``, scaled to w_m, become
     operators whose only nonzero row is conj(w_m); each contributes
     w_m w_m^dag to the completeness sum and annihilates psi.  Raises unless
     R is PSD within ``PSD_TOL`` and |R psi| is within ``ANNIHILATION_TOL``.
@@ -205,7 +206,7 @@ def build_s2(R: np.ndarray, psi: SuperpositionState) -> list[FreeKraus]:
     ops = []
     row = 0
     for lam, vec in zip(evals, evecs.T):
-        if lam <= 1e-13:
+        if lam <= S2_EIG_TOL:
             continue
         w = math.sqrt(float(lam)) * vec
         F = np.zeros((d, d), dtype=complex)

@@ -35,8 +35,14 @@ def random_setting(
 
     ``min_eigenvalue`` keeps the basis comfortably independent; a positive
     ``min_gap`` (relative to lambda_max) additionally forces a
-    nondegenerate spectrum.
+    nondegenerate spectrum.  Raises on bounds no setting meets: lambda_min
+    is at most tr G / d = 1, and the smallest of the d - 1 gaps is below
+    lambda_max / (d - 1).
     """
+    if min_eigenvalue >= 1.0:
+        raise ValueError(f"min_eigenvalue must be below 1, got {min_eigenvalue}")
+    if min_gap * (d - 1) >= 1.0:
+        raise ValueError(f"min_gap must be below 1/(d-1) = {1.0 / (d - 1)}, got {min_gap}")
     while True:
         W = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         W /= np.linalg.norm(W, axis=0, keepdims=True)

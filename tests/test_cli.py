@@ -1,9 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import supergram
 from supergram.cli import main
+
+SRC = Path(supergram.__file__).resolve().parents[1]
+
+
+def run_module(args, cwd, timeout):
+    """``python -m supergram.cli ARGS`` in a child process that ``timeout``
+    seconds stop, so an input that loops forever fails instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "supergram.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def write_setting(tmp_path, name, d, overlaps):
@@ -203,6 +220,47 @@ def test_scan_bad_args(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("grid", [
+    ["--from", "nan", "--to", "0.5", "--step", "0.1"],
+    ["--from=-inf", "--to", "0.5", "--step", "0.1"],
+    ["--from", "0", "--to", "inf", "--step", "0.1"],
+    ["--from", "0", "--to", "0.5", "--step", "nan"],
+    ["--from", "0", "--to", "0.5", "--step", "1e-300"],
+])
+def test_scan_rejects_grids_that_never_end(tmp_path, grid):
+    out = tmp_path / "x.csv"
+    proc = run_module(["scan", "--family", "d2-real", *grid, "--out", str(out)], tmp_path, 60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "d2-real", "--from", "0", "--to", "0.5", "--step", "inf"],
+    ["--family", "d-equal-real", "--d", "1", "--from", "-0.1", "--to", "0", "--step", "0.1"],
+    ["--family", "d-equal-real", "--d", "0", "--from", "-0.1", "--to", "0", "--step", "0.1"],
+])
+def test_scan_rejects_out_of_range_flags(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert main(["scan", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol=-1e-9"],
+                                   ["--verify", "-1"]])
+def test_golden_rejects_out_of_range_flags(tmp_path, capsys, flags):
+    # no golden state, yet an unbounded --tol would report one
+    path = write_setting(tmp_path, "mixed.json", 3, [(1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3)])
+    assert main(["golden", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_table1_passes(tmp_path, capsys):
     out = tmp_path / "table.json"
     assert main(["table1", "--out", str(out)]) == 0
@@ -218,6 +276,20 @@ def test_table1_unwritable_out_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: cannot write" in captured.err
     assert captured.out == ""
+    # a device that accepts the open and fails the write
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this host")
+    assert main(["table1", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write" in captured.err
+    assert captured.out == ""
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    proc = run_module(["table1"], tmp_path, 120)
+    assert proc.returncode == 0, proc.stderr
+    assert "s,is,-is" in proc.stdout
+    assert json.loads(proc.stdout[proc.stdout.index("{"):])["pass"] is True
 
 
 def test_monotones_golden_report(tmp_path, capsys):

@@ -184,3 +184,15 @@ def test_state_json_round_trip_and_verification():
         state_from_json(
             {"coeffs": [{"re": 2.0, "im": 0.0}, {"re": -2.0, "im": 0.0}], "normalized": True}, st
         )
+
+
+# No generator is passed: a bound no setting meets must be rejected
+# before the first draw, where it would otherwise be redrawn forever.
+def test_random_setting_rejects_min_eigenvalue_of_one():
+    with pytest.raises(ValueError):
+        random_setting(3, None, min_eigenvalue=1.0)
+
+
+def test_random_setting_rejects_min_gap_of_one_over_d_minus_1():
+    with pytest.raises(ValueError):
+        random_setting(4, None, min_gap=1.0 / 3)
