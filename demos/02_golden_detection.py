@@ -27,7 +27,7 @@ for s in (0.6, -0.4):
           % (s, rep.outcome, rep.candidate.lambda_min, rep.candidate.state.coeffs.round(4)))
 
 # complex overlaps only twist the relative phase
-psi = closed_form_d2(0.5, theta=np.pi / 2, sign="-")
+psi = closed_form_d2(0.5, theta=np.pi / 2)
 print("complex overlap: coeffs", psi.coeffs.round(4), "tilde", tilde(psi).round(4))
 
 # --- dimension three: the nine sign-pattern families ------------------------

@@ -42,6 +42,7 @@ from .golden import (
     degeneracy_required_d3,
     degenerate_family_d3,
     detect,
+    golden_setting,
     random_frame_d3,
     table1_row,
 )
@@ -67,6 +68,6 @@ from .monotones import (
     monotone_report,
     rel_entropy_superposition,
 )
-from .sampling import golden_setting, random_setting, random_state
+from .sampling import random_setting, random_state
 
 __version__ = "0.1.0"

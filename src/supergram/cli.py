@@ -11,9 +11,9 @@ Each command raises ``OSError`` or ``ValueError`` on bad input, and
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -97,40 +97,46 @@ def cmd_golden(args) -> int:
     return 3 if report.inconclusive else 1
 
 
-def _l1_d2(s: float) -> float:
-    return 1.0 / (1.0 - s) if s >= 0 else 1.0 / (1.0 + s)
+def _d2_family(phase: float):
+    """Qubit overlap s e^{i phase}, golden at every s with l1 1/lambda_min."""
+    return ((-1.0, 1.0), lambda s: gram.build_setting(2, [(1, 2, s * np.exp(1j * phase))]),
+            lambda s: 1.0 / (1.0 - abs(s)))
 
 
-def _equal_setting(d: int, s: float) -> gram.GramSetting:
-    return gram.build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
+def _equal_family(d: int):
+    """Equal real overlaps s in dimension d, golden for s <= 0 with l1 (d-1)/lambda_min."""
+    return (
+        (1.0 / (1.0 - d), 1.0),
+        lambda s: gram.build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)]),
+        lambda s: (d - 1) / (1.0 + (d - 1) * s) if s <= 0 else None,
+    )
 
 
 # Each scan family, given the parsed arguments: the open interval of
 # admissible s, the setting at s, and the closed-form golden l1 at s (None
 # where the family has no golden state).
 _FAMILIES = {
-    "d2-real": lambda a: ((-1.0, 1.0), lambda s: gram.build_setting(2, [(1, 2, s)]), _l1_d2),
-    "d2-complex": lambda a: (
-        (-1.0, 1.0),
-        lambda s: gram.build_setting(2, [(1, 2, s * np.exp(1j * a.phase))]),
-        _l1_d2,
-    ),
-    "d3-equal": lambda a: (
-        (-0.5, 1.0),
-        lambda s: _equal_setting(3, s),
-        lambda s: 2.0 / (1.0 + 2.0 * s) if s <= 0 else None,
-    ),
+    "d2-real": lambda a: _d2_family(0.0),
+    "d2-complex": lambda a: _d2_family(a.phase),
+    "d3-equal": lambda a: _equal_family(3),
     "d3-mixed-sign": lambda a: (
         (-1.0, 0.5),
         lambda s: gram.build_setting(3, [(1, 2, -s), (1, 3, s), (2, 3, s)]),
         lambda s: 2.0 / (1.0 - 2.0 * s) if s >= 0 else None,
     ),
-    "d-equal-real": lambda a: (
-        (1.0 / (1.0 - a.d), 1.0),
-        lambda s: _equal_setting(a.d, s),
-        lambda s: (a.d - 1) / (1.0 + (a.d - 1) * s) if s <= 0 else None,
-    ),
+    "d-equal-real": lambda a: _equal_family(a.d),
 }
+
+
+def _first(holds) -> int:
+    """Smallest k >= 0 with holds(k), once true always true: gallop, bisect."""
+    lo, hi = -1, 0
+    while not holds(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def cmd_scan(args) -> int:
@@ -144,15 +150,17 @@ def cmd_scan(args) -> int:
     if args.family == "d-equal-real" and args.d < 2:
         raise ValueError(f"--d must be at least 2, got {args.d}")
     (lo, hi), setting_at, l1_closed_form = _FAMILIES[args.family](args)
+
+    def s_at(k: int) -> float:
+        return round(args.start + k * args.step, 12)
+
+    # s_at never falls as k grows, so the grid is the indices [0, n) and its
+    # admissible points are [first, end): no clipped point is visited
+    n = _first(lambda k: s_at(k) > args.stop + gram.ZERO_TOL)
+    first = _first(lambda k: k >= n or s_at(k) > lo + gram.SCAN_EDGE_TOL)
+    end = _first(lambda k: k >= n or s_at(k) >= hi - gram.SCAN_EDGE_TOL)
     lines = ["s,lambda_min,l1_golden,l1_closed_form\n"]
-    clipped = 0
-    for k in itertools.count():
-        s = round(args.start + k * args.step, 12)
-        if s > args.stop + gram.ZERO_TOL:
-            break
-        if s <= lo + gram.SCAN_EDGE_TOL or s >= hi - gram.SCAN_EDGE_TOL:
-            clipped += 1
-            continue
+    for s in map(s_at, range(first, end)):
         setting = setting_at(s)
         lam_min = gram.eigensystem(setting).lambda_min
         report = golden.detect(setting)
@@ -160,6 +168,7 @@ def cmd_scan(args) -> int:
         l1_golden = monotones.l1_superposition(report.candidate.state) if found else None
         row = (s, lam_min, l1_golden, l1_closed_form(s))
         lines.append(",".join("" if x is None else _fmt(x) for x in row) + "\n")
+    clipped = n - (end - first)
     if clipped:
         print(
             f"warning: {clipped} grid point(s) outside the admissible interval "
@@ -247,6 +256,12 @@ def main(argv=None) -> int:
     p_mono.add_argument("state")
     p_mono.set_defaults(run=cmd_monotones)
 
+    # argparse reads a separated negative value such as -1e-3 as an option
+    # string; joined to its float option, as --from=-1e-3, it is a value
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--from", "--to", "--step", "--phase", "--tol") and re.match("-[^-]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.run(args)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, NORM_TOL, PAIR_REL_TOL, REJECT_TOL
-from .gram import TABLE1_TOL, UNIT_DIAGONAL_TOL, UNITARY_TOL, ZERO_TOL
+from .gram import TABLE1_TOL, UNITARY_TOL, ZERO_TOL
 from .gram import GramSetting, build_setting, eigensystem, fix_phase
 from .states import SuperpositionState, normalize
 
@@ -60,6 +60,7 @@ __all__ = [
     "degeneracy_required_d3",
     "degenerate_family_d3",
     "detect",
+    "golden_setting",
     "random_frame_d3",
     "report_to_json",
     "table1_row",
@@ -135,6 +136,31 @@ def report_to_json(report: GoldenSearchReport) -> dict:
     return out
 
 
+def _admissible(d: int, c: float) -> bool:
+    """c in (-1/(d-1), 0]: the golden form is positive definite, u minimal."""
+    return -1.0 / (d - 1) < c <= 0.0
+
+
+def _form(c: float, u: np.ndarray) -> np.ndarray:
+    """The golden form (1 - c) I + c u u^dag."""
+    return (1.0 - c) * np.eye(len(u)) + c * np.outer(u, u.conj())
+
+
+def golden_setting(d: int, c: float, phases) -> GramSetting:
+    """The golden form G = (1 - c) I + c u u^dag with u_k = exp(i phases_k).
+
+    Every such setting with c in (-1/(d-1), 0] admits a golden state,
+    u / sqrt(d (1 + (d-1) c)), at any dimension ``d``.
+    """
+    if d < 2 or not _admissible(d, c):
+        raise ValueError(f"the golden form needs d >= 2 and c in (-1/(d-1), 0], got d = {d}, c = {c}")
+    u = np.exp(1j * np.asarray(phases, dtype=float))
+    if u.shape != (d,):
+        raise ValueError(f"need one phase per basis state, got shape {u.shape}")
+    G = _form(c, u)
+    return build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+
+
 def candidate_form(setting: GramSetting, lambda_min: float, phases) -> SuperpositionState:
     """The candidate maximal state sqrt(1/(d lambda_min)) (e^{i theta_1}, ...).
 
@@ -165,11 +191,9 @@ def _tilde_deviation(setting: GramSetting, coeffs: np.ndarray) -> float:
 def _structural_deviation(setting: GramSetting, coeffs: np.ndarray, lam: float) -> float:
     """Largest off-diagonal entry of the free-channel residual at the
     extreme target, G_il - c u_i conj(u_l) with c = (lam - 1)/(d - 1)."""
-    d = setting.d
     mods = np.abs(coeffs)
     u = np.where(mods > ZERO_TOL, coeffs / np.where(mods > ZERO_TOL, mods, 1.0), 1.0)
-    c = (lam - 1.0) / (d - 1)
-    M = setting.gram - c * np.outer(u, u.conj())
+    M = setting.gram - _form((lam - 1.0) / (setting.d - 1), u)
     np.fill_diagonal(M, 0.0)
     return float(np.max(np.abs(M)))
 
@@ -287,8 +311,7 @@ def _golden_form(setting: GramSetting) -> tuple[float, np.ndarray, float]:
     mods = np.abs(row)
     u = np.where(mods > 0.0, row / np.where(mods > 0.0, mods, 1.0), 1.0)
     u[0] = 1.0
-    model = (1.0 - c) * np.eye(d) + c * np.outer(u, u.conj())
-    return c, u, float(np.max(np.abs(G - model)))
+    return c, u, float(np.max(np.abs(G - _form(c, u))))
 
 
 def detect(
@@ -322,7 +345,7 @@ def detect(
     d = setting.d
 
     c, u, dist = _golden_form(setting)
-    if dist <= accept_tol and -1.0 / (d - 1) < c <= 0.0:
+    if dist <= accept_tol and _admissible(d, c):
         lam = 1.0 + (d - 1) * c
         # u^dag G u = d lam up to the fit distance; normalizing against G
         # keeps the state normalized when a caller loosens accept_tol
@@ -348,44 +371,23 @@ def _make_candidate(setting: GramSetting, psi: np.ndarray, lam: float) -> Golden
     )
 
 
-def closed_form_d2(s_modulus: float, theta: float = 0.0, sign: str = "-") -> SuperpositionState:
+def closed_form_d2(s_modulus: float, theta: float = 0.0) -> SuperpositionState:
     """Golden state of a qubit setting with overlap s e^{i theta}.
 
-    The "-" branch uses eigenvalue 1 - s and coefficients
-    (1, -e^{-i theta}) / sqrt(2 (1 - s)); it is minimal for s >= 0.  The
-    "+" branch mirrors it for s <= 0.
+    The golden form has c = -|s|, and the state is (1, -e^{-i theta}) /
+    sqrt(2 (1 - s)) for s >= 0 and (1, e^{-i theta}) / sqrt(2 (1 + s)) for s < 0.
     """
     s = float(s_modulus)
     if abs(s) >= 1.0:
         raise ValueError("|s| must be < 1")
-    if sign not in ("-", "+"):
-        raise ValueError("sign must be '-' or '+'")
-    if sign == "-" and s < 0:
-        raise ValueError("the '-' branch (eigenvalue 1 - s) is not minimal for s < 0")
-    if sign == "+" and s > 0:
-        raise ValueError("the '+' branch (eigenvalue 1 + s) is not minimal for s > 0")
     setting = build_setting(2, [(1, 2, s * np.exp(1j * theta))])
-    pm = -1.0 if sign == "-" else 1.0
-    lam = 1.0 + pm * s
-    coeffs = np.array([1.0, pm * np.exp(-1j * theta)], dtype=complex) / math.sqrt(2.0 * lam)
-    return SuperpositionState(coeffs, setting)
+    return candidate_form(setting, 1.0 - abs(s), [0.0, (np.pi if s >= 0 else 0.0) - theta])
 
 
 def closed_form_equal_real(d: int, s: float) -> SuperpositionState:
     """Golden state (1, ..., 1) / sqrt(d (1 + (d-1) s)) of the equal real
     overlap setting, valid for s in (1/(1-d), 0]."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    lo = 1.0 / (1.0 - d)
-    if not (lo < s <= 0.0):
-        raise ValueError(
-            f"equal real overlap s must lie in ({lo}, 0] for the uniform state "
-            f"to be the minimal eigenvector, got s = {s}"
-        )
-    setting = build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
-    lam = 1.0 + (d - 1) * s
-    coeffs = np.ones(d, dtype=complex) / math.sqrt(d * lam)
-    return SuperpositionState(coeffs, setting)
+    return candidate_form(golden_setting(d, s, np.zeros(d)), 1.0 + (d - 1) * s, np.zeros(d))
 
 
 # the nine three-dimensional sign-pattern families: overlap multipliers for
@@ -409,11 +411,8 @@ def table1_setting(family: str, s: float) -> GramSetting:
     if family not in TABLE1_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(TABLE1_FAMILIES)}")
     mults, _, _, (lo, hi) = TABLE1_FAMILIES[family]
-    if lo == 0.0:
-        ok = 0.0 <= s < hi
-    else:
-        ok = lo < s <= 0.0
-    if not ok:
+    # each family is the golden form with c = -|s|, s of the family's sign
+    if not (_admissible(3, -abs(s)) and (s >= 0.0 if lo == 0.0 else s <= 0.0)):
         raise ValueError(f"family {family!r} requires s in "
                          f"{'[0, %g)' % hi if lo == 0.0 else '(%g, 0]' % lo}, got {s}")
     m12, m13, m23 = mults
@@ -452,18 +451,11 @@ def _phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def random_frame_d3(rng: np.random.Generator) -> np.ndarray:
-    """A 3x3 unitary whose first column has equal-modulus entries
-    e^{i theta_k} / sqrt(3) at random phases; the other columns complete it."""
+    """A 3x3 unitary whose first column is (e^{i theta_k}) / sqrt(3) at random
+    phases, up to a global phase; the other columns complete it."""
     col0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=3)) / math.sqrt(3.0)
     A = np.column_stack([col0, rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))])
-    Q, _ = np.linalg.qr(A)
-    # keep the intended first column exactly (QR fixes its phase arbitrarily)
-    Q[:, 0] = col0
-    Q[:, 1] -= col0 * np.vdot(col0, Q[:, 1])
-    Q[:, 1] /= np.linalg.norm(Q[:, 1])
-    Q[:, 2] -= col0 * np.vdot(col0, Q[:, 2]) + Q[:, 1] * np.vdot(Q[:, 1], Q[:, 2])
-    Q[:, 2] /= np.linalg.norm(Q[:, 2])
-    return Q
+    return np.linalg.qr(A)[0]
 
 
 def degenerate_family_d3(lambda1: float, frame: np.ndarray) -> GramSetting:
@@ -478,9 +470,6 @@ def degenerate_family_d3(lambda1: float, frame: np.ndarray) -> GramSetting:
 
     lambda1 = 1 gives the identity (orthonormal limit).
     """
-    lam1 = float(lambda1)
-    if not (0.0 < lam1 <= 1.0):
-        raise ValueError(f"lambda1 must lie in (0, 1], got {lam1}")
     frame = np.asarray(frame, dtype=complex)
     if frame.shape != (3, 3):
         raise ValueError("frame must be a 3x3 unitary")
@@ -489,11 +478,7 @@ def degenerate_family_d3(lambda1: float, frame: np.ndarray) -> GramSetting:
     x1 = frame[:, 0]
     if np.max(np.abs(np.abs(x1) - 1.0 / math.sqrt(3.0))) > EQUAL_MODULUS_TOL:
         raise ValueError("frame's first column must have equal-modulus entries (golden form)")
-    lam2 = (3.0 - lam1) / 2.0
-    G = lam2 * np.eye(3, dtype=complex) + (lam1 - lam2) * np.outer(x1, x1.conj())
-    if np.max(np.abs(np.diag(G) - 1.0)) > UNIT_DIAGONAL_TOL:
-        raise ValueError("construction failed to produce a unit diagonal")
-    return build_setting(3, [(1, 2, G[0, 1]), (1, 3, G[0, 2]), (2, 3, G[1, 2])])
+    return golden_setting(3, (float(lambda1) - 1.0) / 2.0, np.angle(x1))
 
 
 @dataclass(frozen=True)

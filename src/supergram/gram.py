@@ -40,7 +40,6 @@ DEGENERACY_REL_TOL = 1e-9  # closer eigenvalues share a degeneracy group
 PAIR_REL_TOL = 1e-8  # d = 3 degeneracy rule: the two largest eigenvalues coincide
 UNITARY_TOL = 1e-10  # |U^dag U - I| of a frame rotation or a d = 3 family frame
 EQUAL_MODULUS_TOL = 1e-9  # d = 3 family frame: first-column moduli are 1/sqrt(3)
-UNIT_DIAGONAL_TOL = 1e-10  # the d = 3 family construction gives a unit diagonal
 NORM_TOL = 1e-8  # a directly constructed state is normalized
 NORMALIZED_INPUT_TOL = 1e-10  # a state loaded as normalized is kept as given
 DENSITY_TOL = 1e-10  # Hermitian, unit trace, PSD; mixture weights sum to one

@@ -57,12 +57,6 @@ def l1_superposition(rho) -> float:
     return float(A.sum() - np.trace(A))
 
 
-def _log_herm(M: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(M)
-    logs = np.log(np.clip(evals, _LOG_FLOOR, None))
-    return (evecs * logs) @ evecs.conj().T
-
-
 def _entropy_term(rho: np.ndarray) -> float:
     evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-15]

@@ -1,4 +1,5 @@
-"""Seeded random settings and states for sweeps, verification and demos."""
+"""Seeded random settings and states for sweeps, verification and demos:
+random generators only (the golden form is ``golden.golden_setting``)."""
 
 from __future__ import annotations
 
@@ -7,22 +8,7 @@ import numpy as np
 from .gram import GramSetting, build_setting, eigensystem
 from .states import SuperpositionState, normalize
 
-__all__ = ["golden_setting", "random_setting", "random_state"]
-
-
-def golden_setting(d: int, c: float, phases) -> GramSetting:
-    """The golden form G = (1 - c) I + c u u^dag with u_k = exp(i phases_k).
-
-    Every such setting with c in (-1/(d-1), 0] admits a golden state,
-    u / sqrt(d (1 + (d-1) c)), at any dimension ``d``.
-    """
-    if d < 2 or not -1.0 / (d - 1) < c <= 0.0:
-        raise ValueError(f"the golden form needs d >= 2 and c in (-1/(d-1), 0], got d = {d}, c = {c}")
-    u = np.exp(1j * np.asarray(phases, dtype=float))
-    if u.shape != (d,):
-        raise ValueError(f"need one phase per basis state, got shape {u.shape}")
-    G = (1.0 - c) * np.eye(d) + c * np.outer(u, u.conj())
-    return build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+__all__ = ["random_setting", "random_state"]
 
 
 def random_setting(

@@ -236,6 +236,29 @@ def test_scan_rejects_grids_that_never_end(tmp_path, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("start, stop", [("-1e9", "0"), ("-0.5", "1e9")])
+def test_scan_counts_clipped_points_without_visiting_them(tmp_path, start, stop):
+    # about 1e11 grid points, all but a few hundred outside (-1, 1)
+    out = tmp_path / "x.csv"
+    grid = [f"--from={start}", "--to", stop, "--step", "0.01"]
+    proc = run_module(["scan", "--family", "d2-real", *grid, "--out", str(out)], tmp_path, 60)
+    assert proc.returncode == 0, proc.stderr
+    n_grid = round((float(stop) - float(start)) / 0.01) + 1
+    n_rows = len(out.read_text().splitlines()) - 1
+    assert 0 < n_rows < 200
+    assert proc.stderr == (f"warning: {n_grid - n_rows} grid point(s) outside the admissible "
+                           "interval (-1, 1) were clipped\n")
+
+
+def test_negative_exponent_values_parse_when_separated(tmp_path):
+    joined, separated = tmp_path / "joined.csv", tmp_path / "separated.csv"
+    grid = ["--family", "d2-complex", "--to", "0", "--step", "0.01"]
+    assert main(["scan", *grid, "--from=-5e-2", "--phase=-1e-1", "--out", str(joined)]) == 0
+    assert main(["scan", *grid, "--from", "-5e-2", "--phase", "-1e-1", "--out", str(separated)]) == 0
+    assert joined.read_bytes() == separated.read_bytes()
+    assert len(joined.read_text().splitlines()) == 7
+
+
 @pytest.mark.parametrize("flags", [
     ["--family", "d2-real", "--from", "0", "--to", "0.5", "--step", "inf"],
     ["--family", "d-equal-real", "--d", "1", "--from", "-0.1", "--to", "0", "--step", "0.1"],
@@ -251,7 +274,7 @@ def test_scan_rejects_out_of_range_flags(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol=-1e-9"],
-                                   ["--verify", "-1"]])
+                                   ["--verify", "-1"], ["--tol", "-1e-9"]])
 def test_golden_rejects_out_of_range_flags(tmp_path, capsys, flags):
     # no golden state, yet an unbounded --tol would report one
     path = write_setting(tmp_path, "mixed.json", 3, [(1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3)])

@@ -1,0 +1,20 @@
+import importlib
+import inspect
+import pkgutil
+
+import supergram
+
+
+def test_exported_names_resolve_to_one_object():
+    # tracing wrappers look up every name in these __all__ lists, so a
+    # stale entry would fail there first
+    for info in pkgutil.iter_modules(supergram.__path__):
+        mod = importlib.import_module(f"supergram.{info.name}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"supergram.{info.name}.__all__ names {missing}"
+    for name, obj in vars(supergram).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        home = importlib.import_module(obj.__module__)
+        assert name in home.__all__, f"supergram.{name} is not exported by {obj.__module__}"
+        assert getattr(home, name) is obj, f"supergram.{name} is not {obj.__module__}.{name}"

@@ -19,8 +19,8 @@ from supergram.freeops import (
     verify_trace_preserving,
 )
 from supergram.gram import build_setting, embedding
-from supergram.golden import closed_form_equal_real, detect
-from supergram.sampling import golden_setting, random_state
+from supergram.golden import closed_form_equal_real, detect, golden_setting
+from supergram.sampling import random_state
 from supergram.states import density_mixed, density_pure, normalize
 
 
@@ -315,6 +315,12 @@ def test_golden_setting_rejects_invalid_forms():
         golden_setting(4, -0.1, np.zeros(3))
     with pytest.raises(ValueError):
         golden_setting(1, 0.0, np.zeros(1))
+    # the ends of c in (-1/(d-1), 0]
+    for d in range(2, 6):
+        with pytest.raises(ValueError):
+            golden_setting(d, -1.0 / (d - 1), np.zeros(d))
+        with pytest.raises(ValueError):
+            golden_setting(d, 1e-12, np.zeros(d))
 
 
 def test_channel_certificate_json():

@@ -128,32 +128,25 @@ def test_report_json_shape():
 # ------------------------------------------------------------------ closed forms
 
 def test_closed_form_d2_examples():
-    psi = closed_form_d2(0.6, 0.0, "-")
+    psi = closed_form_d2(0.6, 0.0)
     assert np.allclose(psi.coeffs, np.array([1, -1]) / np.sqrt(0.8), atol=1e-14)
 
-    psi = closed_form_d2(0.5, np.pi / 2, "-")
+    psi = closed_form_d2(0.5, np.pi / 2)
     assert np.allclose(psi.coeffs, np.array([1.0, 1j]), atol=1e-14)
     assert np.allclose(tilde(psi), [0.5, 0.5], atol=1e-12)
 
-    minus = closed_form_d2(0.0, 0.0, "-")
-    plus = closed_form_d2(0.0, 0.0, "+")
-    assert np.allclose(np.abs(minus.coeffs), np.ones(2) / np.sqrt(2))
-    assert np.allclose(plus.coeffs, np.ones(2) / np.sqrt(2))
+    zero = closed_form_d2(0.0, 0.0)
+    negative = closed_form_d2(-0.4, 0.0)
+    assert np.allclose(np.abs(zero.coeffs), np.ones(2) / np.sqrt(2))
+    assert np.allclose(negative.coeffs, np.ones(2) / np.sqrt(1.2))
 
 
 def test_closed_form_d2_detect_accepts():
-    for s, theta, sign in ((0.6, 0.0, "-"), (0.5, np.pi / 2, "-"), (-0.7, 1.1, "+")):
-        psi = closed_form_d2(s, theta, sign)
+    for s, theta in ((0.6, 0.0), (0.5, np.pi / 2), (-0.7, 1.1)):
+        psi = closed_form_d2(s, theta)
         rep = detect(psi.setting)
         assert rep.outcome == "found"
         assert phase_distance(rep.candidate.state.coeffs, psi.coeffs) <= 1e-9
-
-
-def test_closed_form_d2_wrong_branch():
-    with pytest.raises(ValueError):
-        closed_form_d2(0.4, 0.0, "+")
-    with pytest.raises(ValueError):
-        closed_form_d2(-0.4, 0.0, "-")
 
 
 def test_closed_form_equal_real_values():
@@ -269,6 +262,8 @@ def test_degenerate_family_rejects_bad_input():
         degenerate_family_d3(0.0, frame)
     with pytest.raises(ValueError):
         degenerate_family_d3(1.5, frame)
+    with pytest.raises(ValueError):
+        degenerate_family_d3(1.0 + 2e-12, frame)
     bad = np.eye(3, dtype=complex)  # first column (1,0,0): not equal-modulus
     with pytest.raises(ValueError):
         degenerate_family_d3(0.5, bad)
@@ -276,6 +271,20 @@ def test_degenerate_family_rejects_bad_input():
     notu[:, 1] *= 2.0
     with pytest.raises(ValueError):
         degenerate_family_d3(0.5, notu)
+
+
+def test_degenerate_family_accepts_frames_within_modulus_tolerance():
+    # first-column moduli 1/sqrt(3) +- 5e-10, inside EQUAL_MODULUS_TOL
+    rng = np.random.default_rng(47)
+    mods = 1.0 / np.sqrt(3.0) + np.array([5e-10, -5e-10, 0.0])
+    col0 = mods * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+    frame, _ = np.linalg.qr(np.column_stack([col0, rng.standard_normal((3, 2))]))
+    assert np.linalg.norm(frame.conj().T @ frame - np.eye(3)) <= 1e-15
+    assert np.max(np.abs(np.abs(frame[:, 0]) - 1.0 / np.sqrt(3.0))) == pytest.approx(5e-10, rel=1e-3)
+    st = degenerate_family_d3(0.1, frame)
+    rep = detect(st)
+    assert rep.outcome == "found"
+    assert rep.candidate.lambda_min == pytest.approx(0.1, abs=1e-10)
 
 
 def test_degeneracy_required_d3():
