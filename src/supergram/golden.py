@@ -102,7 +102,9 @@ class GoldenSearchReport:
     deviation the search saw over the eigenspace (max of tilde deviation
     and free-channel residual), and ``n_starts`` counts its starts.
     ``inconclusive`` marks a "none" whose deviation lies in the gray zone
-    between acceptance and confident rejection.
+    between acceptance and confident rejection, or one whose fit was
+    accepted but whose state cannot be confirmed normalized to
+    ``NORM_TOL``, as happens close to linear dependence.
     """
 
     outcome: str
@@ -331,7 +333,8 @@ def detect(
     ``multiplicity``.
 
     On "none" the report carries that distance as ``best_deviation`` and
-    is inconclusive when it is at most ``REJECT_TOL``.  With
+    is inconclusive when it is at most ``REJECT_TOL``, or when the fit is
+    accepted but the state fails the normalization check.  With
     ``n_starts > 0`` a degenerate "none" additionally runs the multistart
     search of the minimal eigenspace (deterministic for a fixed ``seed``),
     whose smallest deviation then replaces the distance; the verdict does
@@ -350,7 +353,13 @@ def detect(
         # u^dag G u = d lam up to the fit distance; normalizing against G
         # keeps the state normalized when a caller loosens accept_tol
         psi = fix_phase(_normalized_from_raw(setting, u))
-        return GoldenSearchReport("found", _make_candidate(setting, psi, lam), dist, False, m, 0)
+        try:
+            candidate = _make_candidate(setting, psi, lam)
+        except ValueError:
+            # near dependence psi^dag G psi carries a rounding error of about
+            # eps / lambda_min, which can exceed NORM_TOL: no verdict
+            return GoldenSearchReport("none", None, dist, True, m, 0)
+        return GoldenSearchReport("found", candidate, dist, False, m, 0)
     if m == 1 or n_starts <= 0:
         return GoldenSearchReport("none", None, dist, dist <= REJECT_TOL, m, 0)
 

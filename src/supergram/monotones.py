@@ -2,9 +2,11 @@
 
 The l1 monotone sums the off-diagonal moduli of the basis-bilinear
 coefficient matrix; the relative-entropy monotone minimizes S(rho || sigma)
-over free states sigma = sum_k q_k |c_k><c_k| by exponentiated-gradient
-descent on the probability simplex.  Golden states saturate the setting's
-bounds (d - 1) / lambda_min and ln(d / lambda_min).
+over free states sigma = sum_k q_k |c_k><c_k| on the probability simplex
+by the Blahut-Arimoto fixed-point update q_k <- q_k g_k, with g the
+negative gradient, falling back to exponentiated gradient descent where
+that update would raise the objective.  Golden states saturate the
+setting's bounds (d - 1) / lambda_min and ln(d / lambda_min).
 """
 
 from __future__ import annotations
@@ -32,8 +34,12 @@ __all__ = [
 _Q_FLOOR = 1e-12
 # eigenvalue floor for the matrix logarithm
 _LOG_FLOOR = 1e-300
-# exponentiated-gradient iterations before the solve gives up
+# iterations, fixed-point and fallback steps alike, before the solve gives up
 _MAX_ITER = 20000
+# an accepted fixed-point step that leaves the projected gradient above this
+# share of its previous norm is slow, and the next step doubles its exponent
+_SLOW_RATE = 0.5
+_MAX_OMEGA = 1e3
 
 
 def _coefficient_bilinear(rho) -> tuple[np.ndarray, GramSetting]:
@@ -88,11 +94,22 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     """min_q S(rho || sum_k q_k |c_k><c_k|) over the probability simplex.
 
     The objective tr(rho ln rho) - tr(rho ln sigma(q)) is convex in q, and
-    sigma(q) = V diag(q) V^dag in the embedding frame.  Exponentiated
-    gradient steps with backtracking keep q strictly inside the simplex
-    (floor 1e-12); the iteration stops, converged, once the
-    simplex-projected gradient norm falls to ``GRAD_TOL``, and gives up
-    after 20000 iterations.
+    sigma(q) = V diag(q) V^dag in the embedding frame.  Its negative
+    gradient g_k = tr(rho Dln_sigma[|c_k><c_k|]) satisfies
+    sum_k q_k g_k = tr rho = 1, so the fixed-point update q_k <- q_k g_k
+    stays on the simplex without a step size; its fixed points are the
+    optimality (KKT) points, and in the orthonormal limit V = I it lands
+    on q = diag(rho), the closed form S(diag rho) - S(rho), in one step.
+    Each iteration takes that step, floored at 1e-12 and renormalized,
+    when it does not raise the objective.  While it contracts slowly
+    (near linear dependence) the step is over-relaxed to q_k g_k^omega
+    with omega doubling up to 1e3, and reset to the plain step when an
+    over-relaxed one overshoots.  Descent of the plain step is not proven
+    for non-commuting sigma, so when it would raise the objective the
+    iteration takes a backtracking exponentiated-gradient step instead.
+    The iteration stops, converged, once the simplex-projected gradient
+    norm falls to ``GRAD_TOL``, and gives up after 20000 iterations of
+    either kind.
 
     With ``full_output`` the optimizer diagnostics are returned alongside
     the value.
@@ -124,30 +141,49 @@ def rel_entropy_superposition(rho, full_output: bool = False):
         grad = -np.real(np.einsum("ik,ij,jk->k", W, M, W.conj()))
         return val, grad
 
+    def trial(x):
+        x = np.clip(x, _Q_FLOOR, None)
+        x /= x.sum()
+        return (x, *objective_grad(x))
+
     q = np.full(d, 1.0 / d)
     val, grad = objective_grad(q)
     iterations = 0
     pg_norm = _projected_gradient_norm(q, grad)
     eta = 1.0
+    omega = 1.0
     while pg_norm > GRAD_TOL and iterations < _MAX_ITER:
-        step = eta
-        accepted = False
-        for _ in range(60):
-            expo = np.clip(-step * (grad - float(q @ grad)), -60.0, 60.0)
-            cand = q * np.exp(expo)
-            cand = np.clip(cand, _Q_FLOOR, None)
-            cand /= cand.sum()
-            cand_val, cand_grad = objective_grad(cand)
-            if cand_val <= val + 1e-15:
-                accepted = True
+        # fixed-point step q_k <- q_k g_k^omega with g = -grad, in logs so
+        # that a large omega cannot overflow
+        with np.errstate(divide="ignore"):
+            log_g = np.log(np.maximum(-grad, 0.0))
+        log_g -= log_g.max()
+        cand, cand_val, cand_grad = trial(q * np.exp(omega * log_g))
+        if cand_val > val + 1e-15 and omega > 1.0:
+            # the over-relaxed step overshot: retry the plain one
+            omega = 1.0
+            cand, cand_val, cand_grad = trial(q * np.exp(log_g))
+        fixed_point = cand_val <= val + 1e-15
+        if not fixed_point:
+            # descent of the fixed point is not proven for non-commuting
+            # sigma: fall back to a backtracking exponentiated-gradient step
+            step = eta
+            accepted = False
+            for _ in range(60):
+                expo = np.clip(-step * (grad - float(q @ grad)), -60.0, 60.0)
+                cand, cand_val, cand_grad = trial(q * np.exp(expo))
+                if cand_val <= val + 1e-15:
+                    accepted = True
+                    break
+                step /= 2.0
+            if not accepted:
                 break
-            step /= 2.0
-        if not accepted:
-            break
+            eta = min(step * 2.0, 1e3)
         stalled = cand_val > val - 1e-18 and float(np.linalg.norm(cand - q)) < 1e-15
         q, val, grad = cand, cand_val, cand_grad
-        eta = min(step * 2.0, 1e3)
-        pg_norm = _projected_gradient_norm(q, grad)
+        pg_prev, pg_norm = pg_norm, _projected_gradient_norm(q, grad)
+        if fixed_point and pg_norm > _SLOW_RATE * pg_prev:
+            omega = min(2.0 * omega, _MAX_OMEGA)
         iterations += 1
         if stalled:
             break

@@ -2,8 +2,10 @@
 
 Nothing here may call numpy's eigensolvers, itertools.permutations, or the
 library's own search: extreme eigenvalues come from power iteration,
-permutations from the classic lexicographic successor algorithm, and the
-degenerate-eigenspace deviation from a zooming dense grid.
+permutations from the classic lexicographic successor algorithm, the
+degenerate-eigenspace deviation from a zooming dense grid, and the qubit
+relative-entropy monotone from closed-form 2x2 logarithms and a
+golden-section search.
 """
 
 from __future__ import annotations
@@ -107,3 +109,57 @@ def grid_min_deviation(setting, X, lam, levels: int = 7, n: int = 121):
         alo, ahi = alphas[i] - 2 * da, alphas[i] + 2 * da
         blo, bhi = betas[j] - 2 * db, betas[j] + 2 * db
     return best
+
+
+def _log_2x2(H):
+    """Eigenvalues and logarithm of a 2x2 Hermitian positive definite matrix
+    from its trace and determinant: ln H = a I + b (H - m I) with
+    m = tr H / 2, a = (ln l+ + ln l-) / 2 and b = (ln l+ - ln l-) / (2 r)."""
+    m = float(np.real(H[0, 0] + H[1, 1])) / 2.0
+    r = float(np.hypot(np.real(H[0, 0] - H[1, 1]) / 2.0, abs(H[0, 1])))
+    det = float(np.real(H[0, 0] * H[1, 1]) - abs(H[0, 1]) ** 2)
+    hi = m + r
+    lo = det / hi
+    if r == 0.0:
+        return (hi, lo), np.log(m) * np.eye(2)
+    a = (np.log(hi) + np.log(lo)) / 2.0
+    b = (np.log(hi) - np.log(lo)) / (2.0 * r)
+    return (hi, lo), a * np.eye(2) + b * (H - m * np.eye(2))
+
+
+def rel_entropy_d2(G, P):
+    """min_q S(rho || q |c_1><c_1| + (1 - q) |c_2><c_2|) for a qubit setting.
+
+    G is the 2x2 Gram matrix and P the coefficient bilinear sum_j w_j
+    psi_j psi_j^dag of the state.  The vectors are c_1 = (1, 0) and
+    c_2 = (s, sqrt(1 - |s|^2)) with s = G_12, so rho = B P B^dag with
+    B = [c_1 c_2].  The objective is convex in q, and a golden-section
+    search narrows q in (0, 1) to an interval of width 1e-14.
+    """
+    s = complex(G[0, 1])
+    B = np.array([[1.0, s], [0.0, np.sqrt(1.0 - abs(s) ** 2)]], dtype=complex)
+    rho = B @ np.asarray(P, dtype=complex) @ B.conj().T
+    rho = rho / np.real(np.trace(rho))
+    evals, _ = _log_2x2(rho)
+    neg_entropy = sum(x * np.log(x) for x in evals if x > 0.0)
+    P1 = np.outer(B[:, 0], B[:, 0].conj())
+    P2 = np.outer(B[:, 1], B[:, 1].conj())
+
+    def f(q):
+        _, log_sigma = _log_2x2(q * P1 + (1.0 - q) * P2)
+        return neg_entropy - float(np.real(np.trace(rho @ log_sigma)))
+
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-14:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = f(x2)
+    return min(f1, f2)

@@ -195,6 +195,7 @@ def test_criterion_6_degeneracy_theorem():
 
 
 def test_criterion_7_monotone_bounds():
+    t0 = time.monotonic()
     # golden states attain both bounds
     cases = [
         ("d2 s=0.6", build_setting(2, [(1, 2, 0.6)])),
@@ -245,9 +246,11 @@ def test_criterion_7_monotone_bounds():
         rho_out = apply_map(kset, rho_in)
         assert l1_superposition(rho_out) <= l1_superposition(rho_in) + 1e-8
         assert rel_entropy_superposition(rho_out) <= rel_entropy_superposition(rho_in) + 1e-8
+    elapsed = time.monotonic() - t0
+    assert elapsed < 2.0, f"monotone bounds took {elapsed:.2f}s"
     print(
         "\ncriterion 7: PASS - bounds attained for d in {2,3,4}; 3x10^4 random "
-        "states below both bounds; monotones non-increasing over 100 free maps"
+        f"states below both bounds; monotones non-increasing over 100 free maps in {elapsed:.2f}s"
     )
 
 

@@ -103,6 +103,14 @@ def test_golden_inconclusive_exit_code(tmp_path, capsys):
     assert out["inconclusive"] is True
 
 
+def test_golden_close_to_dependence_exits_inconclusive(tmp_path, capsys):
+    path = write_setting(tmp_path, "near.json", 2, [(1, 2, -0.999999998)])
+    assert main(["golden", path]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == "none"
+    assert out["inconclusive"] is True
+
+
 def test_golden_tol_flag_loosens_acceptance(tmp_path, capsys):
     path = write_setting(tmp_path, "gray.json", 3,
                          [(1, 2, 1e-7), (1, 3, 1e-7), (2, 3, 1e-7)])
@@ -169,6 +177,17 @@ def test_scan_clips_inadmissible_range(tmp_path, capsys):
     assert "clipped" in captured.err
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header plus the single admissible point [-0.4]
+
+
+def test_scan_close_to_dependence(tmp_path):
+    # points with lambda_min near 1e-9 are inconclusive rows, not errors
+    out = tmp_path / "near.csv"
+    assert main([
+        "scan", "--family", "d2-real",
+        "--from=-1.0000000005", "--to=-0.999999995", "--step", "1e-10",
+        "--out", str(out),
+    ]) == 0
+    assert len(out.read_text().splitlines()) == 41
 
 
 def test_scan_d_equal_real_d5(tmp_path):

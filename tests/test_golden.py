@@ -10,6 +10,7 @@ from supergram import golden
 from supergram.freeops import build_kraus_set
 from supergram.gram import build_setting, eigensystem
 from supergram.golden import (
+    ACCEPT_TOL,
     N_STARTS,
     TABLE1_FAMILIES,
     candidate_form,
@@ -352,6 +353,18 @@ def test_detect_near_dependent_setting():
     rep = detect(build_setting(2, [(1, 2, 0.999)]))
     assert rep.outcome == "found"
     assert rep.candidate.lambda_min == pytest.approx(1e-3, abs=1e-12)
+
+
+def test_detect_close_to_dependence_is_inconclusive():
+    # lambda_min = 2e-9 is far above MIN_EIG_TOL, but psi^dag G psi then
+    # carries a rounding error of about eps / lambda_min, above NORM_TOL
+    st = build_setting(2, [(1, 2, -0.999999998)])
+    assert eigensystem(st).lambda_min == pytest.approx(2e-9, rel=1e-6)
+    rep = detect(st)
+    assert rep.outcome == "none"
+    assert rep.candidate is None
+    assert rep.inconclusive
+    assert rep.best_deviation <= ACCEPT_TOL
 
 
 def test_gray_zone_is_flagged_inconclusive():

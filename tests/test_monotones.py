@@ -14,6 +14,8 @@ from supergram.monotones import (
 from supergram.sampling import random_state
 from supergram.states import density_mixed, density_pure, normalize
 
+from oracles import rel_entropy_d2
+
 
 def golden_d2(s=0.6):
     st = build_setting(2, [(1, 2, s)])
@@ -113,6 +115,66 @@ def test_rel_entropy_diagnostics_and_convergence():
     assert info.converged
     assert info.gradient_norm <= 1e-8
     assert abs(info.q.sum() - 1.0) <= 1e-12
+
+
+def seeded_mixtures_d2(frac, n, rng):
+    """n seeded two-state mixtures, each on a qubit setting with overlap
+    modulus frac and a seeded phase; yields (setting, rho, P) with P the
+    coefficient bilinear of rho."""
+    for _ in range(n):
+        st = build_setting(2, [(1, 2, frac * np.exp(2j * np.pi * rng.uniform()))])
+        a, b = random_state(st, rng), random_state(st, rng)
+        w = rng.dirichlet(np.ones(2))
+        P = w[0] * np.outer(a.coeffs, a.coeffs.conj()) + w[1] * np.outer(b.coeffs, b.coeffs.conj())
+        yield st, density_mixed([a, b], w), P
+
+
+def test_rel_entropy_matches_d2_oracle():
+    rng = np.random.default_rng(20)
+    for frac in (0.05, 0.2, 0.6, 0.9):
+        for st, rho, P in seeded_mixtures_d2(frac, 8, rng):
+            expected = rel_entropy_d2(st.gram, P)
+            assert rel_entropy_superposition(rho) == pytest.approx(expected, abs=1e-9), frac
+
+
+def test_rel_entropy_orthonormal_limit_in_one_step():
+    # with V = I the fixed-point step lands on q = diag(rho), the closed
+    # form S(diag rho) - S(rho)
+    rng = np.random.default_rng(21)
+    for d in range(2, 6):
+        st = build_setting(d, [])
+        for _ in range(3):
+            rho = density_mixed([random_state(st, rng) for _ in range(3)], rng.dirichlet(np.ones(3)))
+            p = np.real(np.diag(rho.matrix))
+            lam = np.linalg.eigvalsh(rho.matrix)
+            lam = lam[lam > 1e-15]
+            expected = float(-np.sum(p * np.log(p)) + np.sum(lam * np.log(lam)))
+            value, info = rel_entropy_superposition(rho, full_output=True)
+            assert value == pytest.approx(expected, abs=1e-12), d
+            assert info.iterations == 1, d
+
+
+def test_rel_entropy_iteration_budget_d2():
+    # the bench probe's overlap: exponentiated gradient alone needs about
+    # a thousand iterations per solve here
+    rng = np.random.default_rng(22)
+    infos = [
+        rel_entropy_superposition(rho, full_output=True)[1]
+        for _, rho, _ in seeded_mixtures_d2(0.2, 24, rng)
+    ]
+    assert all(info.converged for info in infos)
+    assert sum(info.iterations for info in infos) < 500
+
+
+def test_rel_entropy_converges_near_dependence():
+    # lambda_min = 1e-6: the plain fixed-point step contracts slowly here,
+    # and only its over-relaxation converges within the iteration cap
+    rng = np.random.default_rng(23)
+    for st, rho, P in seeded_mixtures_d2(1.0 - 1e-6, 4, rng):
+        value, info = rel_entropy_superposition(rho, full_output=True)
+        assert info.converged
+        assert info.iterations < 1000
+        assert value == pytest.approx(rel_entropy_d2(st.gram, P), abs=1e-9)
 
 
 def test_rel_entropy_objective_is_convex_along_segments():
