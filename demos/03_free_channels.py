@@ -2,9 +2,11 @@
 
 The conversion psi -> phi uses d! permutation-structured operators (each
 mapping psi to sqrt(1/d!) phi) plus up to d single-row operators that
-annihilate psi and complete the channel.  The certificate records the
-completeness residual, the PSD margin of the leftover, and how exactly
-the leftover kills psi.
+annihilate psi and complete the channel.  The channel holds the d!
+operators only through their ratio matrix r_ij = phi_i / psi_j: the
+operator of permutation sigma has entry sqrt(1/d!) r[sigma(j), j] at
+(sigma(j), j).  The certificate records the completeness residual, the
+PSD margin of the leftover, and how exactly the leftover kills psi.
 """
 
 import numpy as np
@@ -26,12 +28,15 @@ psi = detect(st).candidate.state
 phi = normalize(np.array([1.0, 0.0]), st)  # target: the first basis state
 
 kset = build_kraus_set(psi, phi)
-print("S1 operators (%d), probability 1/d! = %.2f each:" % (len(kset.s1), kset.probability))
-for op in kset.s1:
-    print(op.matrix.round(4), "free:", is_free_kraus(op.matrix))
+print("S1 operators (%d), probability 1/d! = %.2f each, from the ratios r:"
+      % (kset.certificate.n_s1, kset.probability))
+print(kset.ratios.round(4))
+identity_op = np.sqrt(kset.probability) * np.diag(np.diag(kset.ratios))
+print("identity-permutation operator sqrt(1/d!) diag(r):")
+print(identity_op.round(4), "free:", is_free_kraus(identity_op))
 print("S2 operators (%d):" % len(kset.s2))
 for op in kset.s2:
-    print(op.matrix.round(4))
+    print(op.matrix.round(4), "free:", is_free_kraus(op.matrix))
 print("certificate:", kset.certificate.to_json())
 
 # the channel reproduces the target projector exactly

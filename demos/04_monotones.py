@@ -27,7 +27,7 @@ print("golden qubit state at s=0.6")
 print("  l1          = %.6f (bound %.6f)" % (report.l1, report.l1_bound))
 print("  rel entropy = %.6f (bound %.6f = ln 5)" % (report.rel_entropy, report.rel_entropy_bound))
 print("  overlaps    =", report.overlaps.round(6), "(= lambda_min / d)")
-print("  bound check:", bound_check(report, st))
+print("  bound check:", bound_check(report))
 
 # random states stay strictly below the golden value
 rng = np.random.default_rng(5)

@@ -53,12 +53,9 @@ from .freeops import (
     apply_map,
     apply_mixed,
     build_kraus_set,
-    build_s1,
     build_s2,
     is_free_kraus,
-    kraus_sum,
     residual,
-    verify_trace_preserving,
 )
 from .monotones import (
     MonotoneReport,

@@ -13,7 +13,7 @@ at most one nonzero entry.  Two families realize golden-state conversions:
   the Gram diagonal is one.
 
 The d! S1 operators are never needed one by one to build or apply the
-channel.  Of the d! permutations, (d-1)! send column j to row i, and
+channel.  Of the d! orderings sigma, (d-1)! send column j to row i, and
 (d-2)! send the pair of columns (j, k), j != k, to the pair of rows
 (i, l), i != l.  Weighting each by 1/d! gives the two sums in closed form:
 
@@ -24,9 +24,7 @@ channel.  Of the d! permutations, (d-1)! send column j to row i, and
 
 Building and applying the S1 family therefore costs O(d^3) in time and
 O(d^2) in memory at every d; the at most d S2 operators stay explicit
-matrices.  ``build_s1`` still enumerates the operators, for export and as
-the oracle the closed forms are tested against, and refuses beyond
-``MAX_ENUM_DIM``.
+matrices.
 
 The whole set is trace preserving precisely when R is positive
 semidefinite and annihilates the initial vector; the certificate records
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -47,7 +44,6 @@ from .gram import GramSetting, embedding, same_setting
 from .states import DensityOperator, SuperpositionState, density_pure
 
 __all__ = [
-    "MAX_ENUM_DIM",
     "ChannelCertificate",
     "FreeKraus",
     "KrausSet",
@@ -55,27 +51,21 @@ __all__ = [
     "apply_map",
     "apply_mixed",
     "build_kraus_set",
-    "build_s1",
     "build_s2",
     "is_free_kraus",
-    "kraus_sum",
     "residual",
-    "verify_trace_preserving",
 ]
-
-# the d! enumeration is refused beyond this dimension (8! = 40320 operators)
-MAX_ENUM_DIM = 8
 
 
 @dataclass(frozen=True, eq=False)
 class FreeKraus:
-    """One free Kraus matrix; ``kind`` is "s1", "s2" or "general"."""
+    """One free Kraus matrix; ``kind`` is "s2" or "general"."""
 
     matrix: np.ndarray
     kind: str = "general"
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=complex))
         self.matrix.setflags(write=False)
 
     def to_json(self) -> dict:
@@ -103,28 +93,6 @@ def _ratios(psi: SuperpositionState, phi: SuperpositionState) -> np.ndarray:
     return phi.coeffs[:, None] / psi.coeffs[None, :]
 
 
-def build_s1(psi: SuperpositionState, phi: SuperpositionState) -> list[FreeKraus]:
-    """The d! permutation-structured operators converting psi to phi.
-
-    Operator n places, at position (sigma_n(j), j) for the n-th
-    lexicographic permutation, the value sqrt(1/d!) phi_{sigma_n(j)} /
-    psi_j; every operator maps psi's coefficient vector to sqrt(1/d!)
-    times phi's.  Requires every psi_j nonzero (full superposition rank).
-    Target coefficients may vanish; the corresponding entries are zero.
-    """
-    d = psi.setting.d
-    if d > MAX_ENUM_DIM:
-        raise ValueError(f"refusing the {d}! operator enumeration beyond d = {MAX_ENUM_DIM}")
-    ratios = math.sqrt(1.0 / math.factorial(d)) * _ratios(psi, phi)
-    ops = []
-    for sigma in permutations(range(d)):
-        K = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            K[sigma[j], j] = ratios[sigma[j], j]
-        ops.append(FreeKraus(K, "s1"))
-    return ops
-
-
 def _s1_completeness(G: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum K^dag G K over the S1 family of ratio matrix r, in closed form."""
     d = len(r)
@@ -140,20 +108,6 @@ def _s1_action(r: np.ndarray, C: np.ndarray) -> np.ndarray:
     out = r @ (C - np.diag(diag)) @ r.conj().T / (d * (d - 1))
     np.fill_diagonal(out, np.abs(r) ** 2 @ diag / d)
     return out
-
-
-def kraus_sum(setting: GramSetting, ops) -> np.ndarray:
-    """The completeness matrix sum_n K_n^dag G K_n."""
-    return _add_kraus_terms(np.zeros_like(setting.gram), setting, ops)
-
-
-def _add_kraus_terms(total: np.ndarray, setting: GramSetting, ops) -> np.ndarray:
-    """Add K^dag G K of every operator to ``total`` in place."""
-    G = setting.gram
-    for op in ops:
-        K = op.matrix if isinstance(op, FreeKraus) else np.asarray(op, dtype=complex)
-        total += K.conj().T @ G @ K
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,12 +170,6 @@ def build_s2(R: np.ndarray, psi: SuperpositionState) -> list[FreeKraus]:
     return ops
 
 
-def verify_trace_preserving(setting: GramSetting, ops) -> float:
-    """Frobenius residual |sum K^dag G K - G| over all supplied operators
-    (S1 and S2 alike); trace preserving when at most ``FROBENIUS_TOL``."""
-    return float(np.linalg.norm(kraus_sum(setting, ops) - setting.gram))
-
-
 @dataclass(frozen=True)
 class ChannelCertificate:
     """Full evidence bundle for one constructed channel."""
@@ -249,8 +197,9 @@ class KrausSet:
     """A certified superposition-free channel taking ``source`` to
     ``target`` with uniform branch probability 1/d!.
 
-    The S1 family is held as its ratio matrix r_ij = phi_i / psi_j; the
-    ``s1`` property enumerates its d! operators on demand.
+    The S1 family is held only as its ratio matrix r_ij = phi_i / psi_j:
+    the operator of permutation sigma has entry sqrt(probability)
+    r[sigma(j), j] at (sigma(j), j) and zeros elsewhere.
     """
 
     setting: GramSetting
@@ -265,13 +214,6 @@ class KrausSet:
     def __post_init__(self):
         self.ratios.setflags(write=False)
 
-    @property
-    def s1(self) -> tuple:
-        return tuple(build_s1(self.source, self.target))
-
-    def operators(self):
-        return list(self.s1) + list(self.s2)
-
 
 def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSet:
     """Build and certify the full S1 + S2 channel for psi -> phi.
@@ -285,8 +227,9 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
     ksum = _s1_completeness(setting.gram, r)
     res = residual(setting, ksum, psi)
     s2 = build_s2(res.matrix, psi)
-    total = _add_kraus_terms(ksum, setting, s2)
-    frobenius = float(np.linalg.norm(total - setting.gram))
+    for op in s2:
+        ksum += op.matrix.conj().T @ setting.gram @ op.matrix
+    frobenius = float(np.linalg.norm(ksum - setting.gram))
     cert = ChannelCertificate(
         n_s1=math.factorial(setting.d),
         n_s2=len(s2),

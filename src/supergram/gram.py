@@ -82,6 +82,7 @@ class GramSetting:
     gram: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "gram", np.array(self.gram, dtype=complex))
         self.gram.setflags(write=False)
 
     def overlap(self, i: int, j: int) -> complex:

@@ -245,15 +245,13 @@ class MonotoneReport:
     gradient_norm: float
 
     def to_json(self) -> dict:
+        flags = bound_check(self)
         return {
             "l1": self.l1,
             "rel_entropy": self.rel_entropy,
             "overlaps": [float(x) for x in self.overlaps],
             "bounds": {"l1_max": self.l1_bound, "rel_ent_max": self.rel_entropy_bound},
-            "attained": bool(
-                abs(self.l1 - self.l1_bound) <= BOUND_L1_TOL
-                and abs(self.rel_entropy - self.rel_entropy_bound) <= BOUND_REL_ENTROPY_TOL
-            ),
+            "attained": flags.l1_attained and flags.rel_entropy_attained,
         }
 
 
@@ -274,12 +272,10 @@ def monotone_report(rho) -> MonotoneReport:
     )
 
 
-def bound_check(report: MonotoneReport, setting: GramSetting) -> BoundCheck:
-    """Verify the monotone values against the setting's upper bounds and
+def bound_check(report: MonotoneReport) -> BoundCheck:
+    """Verify the monotone values against the report's upper bounds and
     flag attainment (golden states attain both)."""
-    lam_min = eigensystem(setting).lambda_min
-    l1_max = (setting.d - 1) / lam_min
-    re_max = float(np.log(setting.d / lam_min))
+    l1_max, re_max = report.l1_bound, report.rel_entropy_bound
     return BoundCheck(
         l1_within=bool(report.l1 <= l1_max + BOUND_L1_TOL),
         rel_entropy_within=bool(report.rel_entropy <= re_max + BOUND_REL_ENTROPY_TOL),

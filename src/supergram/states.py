@@ -36,7 +36,7 @@ class SuperpositionState:
     setting: GramSetting
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.shape != (self.setting.d,):
             raise ValueError(f"expected {self.setting.d} coefficients, got shape {coeffs.shape}")
         n2 = np.real(np.vdot(coeffs, self.setting.gram @ coeffs))
@@ -86,7 +86,7 @@ class DensityOperator:
     setting: GramSetting
 
     def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
+        rho = np.array(self.matrix, dtype=complex)
         d = self.setting.d
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Nothing here may call numpy's eigensolvers, itertools.permutations, or the
-library's own search: extreme eigenvalues come from power iteration,
-permutations from the classic lexicographic successor algorithm, the
-degenerate-eigenspace deviation from a zooming dense grid, and the qubit
-relative-entropy monotone from closed-form 2x2 logarithms and a
+Nothing here may import anything but numpy, or call numpy's eigensolvers
+or itertools.permutations: extreme eigenvalues come from power iteration,
+permutations from the classic lexicographic successor algorithm, the d!
+free Kraus operators of a golden-state channel from those permutations one
+by one, the degenerate-eigenspace deviation from a zooming dense grid, and
+the qubit relative-entropy monotone from closed-form 2x2 logarithms and a
 golden-section search.
 """
 
@@ -63,6 +64,37 @@ def lex_permutations(n: int):
         a[j], a[l] = a[l], a[j]
         a[j + 1:] = a[len(a) - 1: j: -1]
         yield tuple(a)
+
+
+def s1_operators(psi_coeffs, phi_coeffs):
+    """The d! permutation operators converting psi to phi, as matrices.
+
+    The n-th operator, for the n-th lexicographic permutation sigma, holds
+    sqrt(1/d!) phi_{sigma(j)} / psi_j at (sigma(j), j) and zeros elsewhere,
+    so each maps psi to sqrt(1/d!) phi.
+    """
+    psi = np.asarray(psi_coeffs, dtype=complex)
+    phi = np.asarray(phi_coeffs, dtype=complex)
+    d = len(psi)
+    perms = list(lex_permutations(d))
+    scale = np.sqrt(1.0 / len(perms))
+    ops = []
+    for sigma in perms:
+        K = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            K[sigma[j], j] = scale * phi[sigma[j]] / psi[j]
+        ops.append(K)
+    return ops
+
+
+def kraus_sum(G, ops):
+    """The completeness matrix sum_n K_n^dag G K_n, one operator at a time."""
+    G = np.asarray(G, dtype=complex)
+    total = np.zeros_like(G)
+    for K in ops:
+        K = np.asarray(K, dtype=complex)
+        total += K.conj().T @ G @ K
+    return total
 
 
 def _grid_deviation(setting, X, lam, alphas, betas):

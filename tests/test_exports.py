@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import supergram
 
@@ -18,3 +20,22 @@ def test_exported_names_resolve_to_one_object():
         home = importlib.import_module(obj.__module__)
         assert name in home.__all__, f"supergram.{name} is not exported by {obj.__module__}"
         assert getattr(home, name) is obj, f"supergram.{name} is not {obj.__module__}.{name}"
+
+
+def test_oracles_stay_independent():
+    # the oracles check the library, so they import only numpy and derive
+    # eigenvalues and permutations themselves
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+    assert imported <= {"__future__", "numpy"}, imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+            assert not name.startswith("eig"), f"oracles.py calls {name}"
+            assert name != "permutations", "oracles.py calls permutations"

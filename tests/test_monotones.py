@@ -225,11 +225,11 @@ def test_constant_trace_overlaps_non_golden_unequal():
 # --------------------------------------------------------------- bound check
 
 def test_bound_check_golden_attains_both():
-    st, psi = golden_d2(0.6)
+    _, psi = golden_d2(0.6)
     report = monotone_report(psi)
     assert report.l1 == pytest.approx(2.5, abs=1e-12)
     assert report.l1_bound == pytest.approx(2.5, abs=1e-12)
-    flags = bound_check(report, st)
+    flags = bound_check(report)
     assert flags.l1_within and flags.rel_entropy_within
     assert flags.l1_attained and flags.rel_entropy_attained
     js = report.to_json()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from supergram.gram import build_setting, embedding
+from supergram.freeops import FreeKraus
+from supergram.gram import GramSetting, build_setting, embedding
 from supergram.sampling import random_setting, random_state
 from supergram.states import (
+    DensityOperator,
     SuperpositionState,
     density_mixed,
     density_pure,
@@ -71,6 +73,28 @@ def test_direct_construction_guards_normalization():
     st = build_setting(2, [])
     with pytest.raises(ValueError):
         SuperpositionState(np.array([1.0, 1.0]), st)
+
+
+def test_value_types_copy_their_input():
+    # each frozen type keeps its own copy: writing to the caller's array
+    # afterwards changes nothing, and the caller's array stays writable
+    st = build_setting(2, [])
+    vec = np.array([1.0, 0.0, 0.0], dtype=complex)
+    psi = SuperpositionState(vec[:2], st)
+    mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    rho = DensityOperator(mat[:2, :2], st)
+    gram = np.eye(2, dtype=complex)
+    setting = GramSetting(d=2, overlaps=(), gram=gram)
+    kraus = np.eye(2, dtype=complex)
+    op = FreeKraus(kraus)
+    for base in (vec, mat, gram, kraus):
+        assert base.flags.writeable
+        base[0] = 5.0
+    assert np.array_equal(psi.coeffs, [1.0, 0.0])
+    assert np.real(np.vdot(psi.coeffs, st.gram @ psi.coeffs)) == 1.0
+    assert np.trace(rho.matrix) == 1.0
+    assert np.array_equal(setting.gram, np.eye(2))
+    assert np.array_equal(op.matrix, np.eye(2))
 
 
 def test_tilde_golden_is_uniform():
