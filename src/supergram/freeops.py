@@ -120,6 +120,7 @@ class ResidualReport:
     diagonally_dominant: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", np.array(self.matrix))
         self.matrix.setflags(write=False)
 
 
@@ -212,6 +213,7 @@ class KrausSet:
     full_rank_target: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "ratios", np.array(self.ratios))
         self.ratios.setflags(write=False)
 
 

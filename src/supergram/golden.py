@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, NORM_TOL, PAIR_REL_TOL, REJECT_TOL
+from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, PAIR_REL_TOL, REJECT_TOL
 from .gram import TABLE1_TOL, UNITARY_TOL, ZERO_TOL
 from .gram import GramSetting, build_setting, eigensystem, fix_phase
 from .states import SuperpositionState, normalize
@@ -176,12 +176,6 @@ def candidate_form(setting: GramSetting, lambda_min: float, phases) -> Superposi
     if phases.shape != (setting.d,):
         raise ValueError(f"expected {setting.d} phases")
     coeffs = np.exp(1j * phases) / math.sqrt(setting.d * lambda_min)
-    n2 = float(np.real(np.vdot(coeffs, setting.gram @ coeffs)))
-    if abs(n2 - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"candidate form is not normalized (psi^dag G psi = {n2}); "
-            "lambda_min and phases are inconsistent with this setting"
-        )
     return SuperpositionState(coeffs, setting)
 
 

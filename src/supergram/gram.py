@@ -207,6 +207,8 @@ class EigenSystem:
     groups: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", np.array(self.eigenvalues))
+        object.__setattr__(self, "eigenvectors", np.array(self.eigenvectors))
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
@@ -243,7 +245,7 @@ def eigensystem(setting: GramSetting) -> EigenSystem:
         else:
             groups.append([k])
     return EigenSystem(
-        eigenvalues=evals.copy(),
+        eigenvalues=evals,
         eigenvectors=evecs,
         groups=tuple(tuple(g) for g in groups),
     )

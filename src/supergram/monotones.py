@@ -4,9 +4,9 @@ The l1 monotone sums the off-diagonal moduli of the basis-bilinear
 coefficient matrix; the relative-entropy monotone minimizes S(rho || sigma)
 over free states sigma = sum_k q_k |c_k><c_k| on the probability simplex
 by the Blahut-Arimoto fixed-point update q_k <- q_k g_k, with g the
-negative gradient, falling back to exponentiated gradient descent where
-that update would raise the objective.  Golden states saturate the
-setting's bounds (d - 1) / lambda_min and ln(d / lambda_min).
+negative gradient, shortened to q_k g_k^tau with tau < 1 where the full
+update would raise the objective.  Golden states saturate the setting's
+bounds (d - 1) / lambda_min and ln(d / lambda_min).
 """
 
 from __future__ import annotations
@@ -34,21 +34,23 @@ __all__ = [
 _Q_FLOOR = 1e-12
 # eigenvalue floor for the matrix logarithm
 _LOG_FLOOR = 1e-300
-# iterations, fixed-point and fallback steps alike, before the solve gives up
+# iterations, full or shortened steps alike, before the solve gives up
 _MAX_ITER = 20000
-# an accepted fixed-point step that leaves the projected gradient above this
-# share of its previous norm is slow, and the next step doubles its exponent
+# an accepted step with exponent tau >= 1 that leaves the projected gradient
+# above this share of its previous norm is slow, and omega doubles
 _SLOW_RATE = 0.5
 _MAX_OMEGA = 1e3
 
 
-def _coefficient_bilinear(rho) -> tuple[np.ndarray, GramSetting]:
-    """Coefficient matrix and setting for a state, density operator, or a
-    raw coefficient-bilinear matrix paired with its setting."""
+def _embedded(rho) -> tuple[GramSetting, np.ndarray, np.ndarray]:
+    """Setting, embedding V and density matrix in the embedding frame of a
+    state or density operator."""
     if isinstance(rho, SuperpositionState):
-        return np.outer(rho.coeffs, rho.coeffs.conj()), rho.setting
+        V = embedding(rho.setting)
+        w = V @ rho.coeffs
+        return rho.setting, V, np.outer(w, w.conj())
     if isinstance(rho, DensityOperator):
-        return rho.coefficient_matrix(), rho.setting
+        return rho.setting, embedding(rho.setting), rho.matrix
     raise TypeError("expected a SuperpositionState or DensityOperator")
 
 
@@ -58,7 +60,12 @@ def l1_superposition(rho) -> float:
     For a pure state this is sum_{i != j} |psi_i| |psi_j|; zero exactly on
     superposition-free states (diagonal mixtures of basis projectors).
     """
-    C, _ = _coefficient_bilinear(rho)
+    if isinstance(rho, SuperpositionState):
+        C = np.outer(rho.coeffs, rho.coeffs.conj())
+    elif isinstance(rho, DensityOperator):
+        C = rho.coefficient_matrix()
+    else:
+        raise TypeError("expected a SuperpositionState or DensityOperator")
     A = np.abs(C)
     return float(A.sum() - np.trace(A))
 
@@ -100,31 +107,21 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     stays on the simplex without a step size; its fixed points are the
     optimality (KKT) points, and in the orthonormal limit V = I it lands
     on q = diag(rho), the closed form S(diag rho) - S(rho), in one step.
-    Each iteration takes that step, floored at 1e-12 and renormalized,
-    when it does not raise the objective.  While it contracts slowly
-    (near linear dependence) the step is over-relaxed to q_k g_k^omega
-    with omega doubling up to 1e3, and reset to the plain step when an
-    over-relaxed one overshoots.  Descent of the plain step is not proven
-    for non-commuting sigma, so when it would raise the objective the
-    iteration takes a backtracking exponentiated-gradient step instead.
-    The iteration stops, converged, once the simplex-projected gradient
-    norm falls to ``GRAD_TOL``, and gives up after 20000 iterations of
-    either kind.
+    Each iteration takes the step q_k <- q_k g_k^tau, floored at 1e-12 and
+    renormalized, with the first tau of omega, 1, 1/2, 1/4, ... (at most
+    60 tries) that does not raise the objective.  A short enough step
+    always descends: g >= 0, because ln is operator monotone, and along
+    q g^tau the objective's slope at tau = 0 is -Cov_q(g, ln g) <= 0,
+    zero only at a fixed point.  While the iteration contracts slowly
+    (near linear dependence) omega doubles up to 1e3 after each full
+    step, and it is reset to 1 when a shorter step is taken.  The
+    iteration stops, converged, once the simplex-projected gradient norm
+    falls to ``GRAD_TOL``, and gives up after 20000 iterations.
 
     With ``full_output`` the optimizer diagnostics are returned alongside
     the value.
     """
-    if isinstance(rho, SuperpositionState):
-        setting = rho.setting
-        V = embedding(setting)
-        w0 = V @ rho.coeffs
-        rho_emb = np.outer(w0, w0.conj())
-    elif isinstance(rho, DensityOperator):
-        setting = rho.setting
-        V = embedding(setting)
-        rho_emb = rho.matrix
-    else:
-        raise TypeError("expected a SuperpositionState or DensityOperator")
+    setting, V, rho_emb = _embedded(rho)
     d = setting.d
     const = _entropy_term(rho_emb)
 
@@ -150,39 +147,29 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     val, grad = objective_grad(q)
     iterations = 0
     pg_norm = _projected_gradient_norm(q, grad)
-    eta = 1.0
     omega = 1.0
     while pg_norm > GRAD_TOL and iterations < _MAX_ITER:
-        # fixed-point step q_k <- q_k g_k^omega with g = -grad, in logs so
-        # that a large omega cannot overflow
+        # step q_k <- q_k g_k^tau with g = -grad, in logs so that a large
+        # tau cannot overflow
         with np.errstate(divide="ignore"):
             log_g = np.log(np.maximum(-grad, 0.0))
         log_g -= log_g.max()
-        cand, cand_val, cand_grad = trial(q * np.exp(omega * log_g))
-        if cand_val > val + 1e-15 and omega > 1.0:
-            # the over-relaxed step overshot: retry the plain one
-            omega = 1.0
-            cand, cand_val, cand_grad = trial(q * np.exp(log_g))
-        fixed_point = cand_val <= val + 1e-15
-        if not fixed_point:
-            # descent of the fixed point is not proven for non-commuting
-            # sigma: fall back to a backtracking exponentiated-gradient step
-            step = eta
-            accepted = False
-            for _ in range(60):
-                expo = np.clip(-step * (grad - float(q @ grad)), -60.0, 60.0)
-                cand, cand_val, cand_grad = trial(q * np.exp(expo))
-                if cand_val <= val + 1e-15:
-                    accepted = True
-                    break
-                step /= 2.0
-            if not accepted:
+        # tau = omega, then the plain step tau = 1, then halved: the slope
+        # at tau = 0 is -Cov_q(g, ln g) <= 0, so a short enough step descends
+        tau = omega
+        for _ in range(60):
+            cand, cand_val, cand_grad = trial(q * np.exp(tau * log_g))
+            if cand_val <= val + 1e-15:
                 break
-            eta = min(step * 2.0, 1e3)
+            tau = min(tau / 2.0, 1.0)
+        else:
+            break
+        if tau < omega:
+            omega = 1.0
         stalled = cand_val > val - 1e-18 and float(np.linalg.norm(cand - q)) < 1e-15
         q, val, grad = cand, cand_val, cand_grad
         pg_prev, pg_norm = pg_norm, _projected_gradient_norm(q, grad)
-        if fixed_point and pg_norm > _SLOW_RATE * pg_prev:
+        if tau >= 1.0 and pg_norm > _SLOW_RATE * pg_prev:
             omega = min(2.0 * omega, _MAX_OMEGA)
         iterations += 1
         if stalled:
@@ -217,13 +204,8 @@ def constant_trace_overlaps(psi) -> np.ndarray:
     For a pure state this is |<Psi|c_i>|^2 = |(G psi)_i|^2; a golden state
     has all components equal to lambda_min / d.
     """
-    if isinstance(psi, SuperpositionState):
-        g = psi.setting.gram @ psi.coeffs
-        return np.abs(g) ** 2
-    if isinstance(psi, DensityOperator):
-        V = embedding(psi.setting)
-        return np.real(np.einsum("ij,jk,ki->i", V.conj().T, psi.matrix, V)).copy()
-    raise TypeError("expected a SuperpositionState or DensityOperator")
+    _, V, rho_emb = _embedded(psi)
+    return np.real(np.einsum("ij,jk,ki->i", V.conj().T, rho_emb, V)).copy()
 
 
 @dataclass(frozen=True)
@@ -258,9 +240,9 @@ class MonotoneReport:
 def monotone_report(rho) -> MonotoneReport:
     """Evaluate both monotones, the basis overlaps, and the setting's
     extremal bounds for one state."""
-    _, setting = _coefficient_bilinear(rho)
-    lam_min = eigensystem(setting).lambda_min
     value, info = rel_entropy_superposition(rho, full_output=True)
+    setting = rho.setting
+    lam_min = eigensystem(setting).lambda_min
     return MonotoneReport(
         l1=l1_superposition(rho),
         rel_entropy=value,

@@ -11,7 +11,7 @@ from supergram.monotones import (
     monotone_report,
     rel_entropy_superposition,
 )
-from supergram.sampling import random_state
+from supergram.sampling import random_setting, random_state
 from supergram.states import density_mixed, density_pure, normalize
 
 from oracles import rel_entropy_d2
@@ -175,6 +175,19 @@ def test_rel_entropy_converges_near_dependence():
         assert info.converged
         assert info.iterations < 1000
         assert value == pytest.approx(rel_entropy_d2(st.gram, P), abs=1e-9)
+
+
+def test_rel_entropy_backs_off_an_overshooting_step():
+    # on this mixture the full step q_k g_k raises the objective once, near
+    # the optimum, and a shorter step q_k g_k^tau, tau < 1, is taken instead
+    rng = np.random.default_rng(14)
+    st = random_setting(4, rng)
+    rel_entropy_superposition(random_state(st, rng))
+    states = [random_state(st, rng), random_state(st, rng)]
+    rho = density_mixed(states, rng.dirichlet(np.ones(2)))
+    value, info = rel_entropy_superposition(rho, full_output=True)
+    assert info.converged
+    assert value == pytest.approx(0.6992314161965757, abs=1e-12)
 
 
 def test_rel_entropy_objective_is_convex_along_segments():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from supergram.freeops import FreeKraus
-from supergram.gram import GramSetting, build_setting, embedding
+from supergram.freeops import ChannelCertificate, FreeKraus, KrausSet, ResidualReport
+from supergram.gram import EigenSystem, GramSetting, build_setting, embedding
 from supergram.sampling import random_setting, random_state
 from supergram.states import (
     DensityOperator,
@@ -87,7 +87,16 @@ def test_value_types_copy_their_input():
     setting = GramSetting(d=2, overlaps=(), gram=gram)
     kraus = np.eye(2, dtype=complex)
     op = FreeKraus(kraus)
-    for base in (vec, mat, gram, kraus):
+    evals, evecs = np.array([1.0, 1.0]), np.eye(2, dtype=complex)
+    es = EigenSystem(evals, evecs, ((0, 1),))
+    resid = np.zeros((2, 2), dtype=complex)
+    report = ResidualReport(resid, 0.0, 0.0, True)
+    ratios = np.ones((2, 2), dtype=complex)
+    cert = ChannelCertificate(n_s1=2, n_s2=0, frobenius_residual=0.0, psd_margin=0.0,
+                              annihilation=0.0, passed=True)
+    kset = KrausSet(setting=st, ratios=ratios, s2=(), probability=0.5, source=psi,
+                    target=psi, certificate=cert, full_rank_target=True)
+    for base in (vec, mat, gram, kraus, evals, evecs, resid, ratios):
         assert base.flags.writeable
         base[0] = 5.0
     assert np.array_equal(psi.coeffs, [1.0, 0.0])
@@ -95,6 +104,10 @@ def test_value_types_copy_their_input():
     assert np.trace(rho.matrix) == 1.0
     assert np.array_equal(setting.gram, np.eye(2))
     assert np.array_equal(op.matrix, np.eye(2))
+    assert np.array_equal(es.eigenvalues, [1.0, 1.0])
+    assert np.array_equal(es.eigenvectors, np.eye(2))
+    assert np.array_equal(report.matrix, np.zeros((2, 2)))
+    assert np.array_equal(kset.ratios, np.ones((2, 2)))
 
 
 def test_tilde_golden_is_uniform():
