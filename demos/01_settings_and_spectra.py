@@ -27,7 +27,7 @@ s = 0.3
 st3 = build_setting(3, [(1, 2, s), (1, 3, 1j * s), (2, 3, -1j * s)])
 print("\ncomplex setting, unit diagonal:", np.diag(st3.gram))
 rep = validate(st3)
-print("min eigenvalue %.4f, closed-form determinant %.4f" % (rep.min_eigenvalue, rep.det3))
+print("spectrum %s, min eigenvalue %.4f" % (np.linalg.eigvalsh(st3.gram).round(4), rep.min_eigenvalue))
 
 # --- the spectrum decides everything ---------------------------------------
 es = eigensystem(st3)

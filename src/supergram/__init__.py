@@ -39,7 +39,6 @@ from .golden import (
     candidate_form,
     closed_form_d2,
     closed_form_equal_real,
-    degeneracy_required_d3,
     degenerate_family_d3,
     detect,
     golden_setting,

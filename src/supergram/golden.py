@@ -18,9 +18,12 @@ With the unit diagonal this says that a golden state exists exactly when
 
     G = (1 - c) I + c u u^dag,   |u_i| = 1,   c in (-1/(d-1), 0],
 
-and then u are its phases and lambda_min = 1 + (d - 1) c.  ``detect``
-decides by this closed form: it fits c and u in O(d^2) and accepts when
-the entrywise distance from G to the fitted form is within tolerance.
+and then u are its phases and lambda_min = 1 + (d - 1) c.  Equivalently,
+at every d, the top d - 1 eigenvalues of G coincide: the unit diagonal
+forces any mu I + (lambda_1 - mu) x x^dag into the form above (at d = 3,
+the paper's degenerate top pair).  ``detect`` decides by the closed form:
+it fits c and u in O(d^2) and accepts when the entrywise distance from G
+to the fitted form is within tolerance.
 The eigenspace itself does not decide.  At the equal-overlap setting
 s = 1/2 in dimension 3, complex combinations of the degenerate minimal
 eigenspace such as (1, w, w^2) with w = exp(2 pi i / 3) do satisfy the
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, PAIR_REL_TOL, REJECT_TOL
+from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, REJECT_TOL
 from .gram import TABLE1_TOL, UNITARY_TOL, ZERO_TOL
 from .gram import GramSetting, build_setting, eigensystem, fix_phase
 from .states import SuperpositionState, normalize
@@ -51,13 +54,11 @@ __all__ = [
     "N_STARTS",
     "REJECT_TOL",
     "TABLE1_FAMILIES",
-    "D3DegeneracyReport",
     "GoldenCandidate",
     "GoldenSearchReport",
     "candidate_form",
     "closed_form_d2",
     "closed_form_equal_real",
-    "degeneracy_required_d3",
     "degenerate_family_d3",
     "detect",
     "golden_setting",
@@ -482,34 +483,3 @@ def degenerate_family_d3(lambda1: float, frame: np.ndarray) -> GramSetting:
     if np.max(np.abs(np.abs(x1) - 1.0 / math.sqrt(3.0))) > EQUAL_MODULUS_TOL:
         raise ValueError("frame's first column must have equal-modulus entries (golden form)")
     return golden_setting(3, (float(lambda1) - 1.0) / 2.0, np.angle(x1))
-
-
-@dataclass(frozen=True)
-class D3DegeneracyReport:
-    """Whether a d = 3 setting admits a golden state, whether its two
-    largest eigenvalues coincide, and whether the two facts agree with the
-    rule that golden-admitting settings have a degenerate pair."""
-
-    admits_golden: bool
-    degenerate_pair: bool
-    consistent: bool
-
-
-def degeneracy_required_d3(setting: GramSetting) -> D3DegeneracyReport:
-    """Check the d = 3 degeneracy rule on one setting.
-
-    Returns a report rather than asserting, so a violation (none is known)
-    would be visible instead of fatal.
-    """
-    if setting.d != 3:
-        raise ValueError("this check is specific to three-dimensional settings")
-    report = detect(setting)
-    es = eigensystem(setting)
-    lam2, lam3 = float(es.eigenvalues[1]), float(es.eigenvalues[2])
-    pair = abs(lam3 - lam2) <= PAIR_REL_TOL * max(abs(lam3), 1.0)
-    admits = report.outcome == "found"
-    return D3DegeneracyReport(
-        admits_golden=admits,
-        degenerate_pair=pair,
-        consistent=(not admits) or pair,
-    )

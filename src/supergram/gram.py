@@ -31,13 +31,11 @@ __all__ = [
 ]
 
 # Tolerance table: every threshold that decides a verdict, raises an error
-# or sets a report flag, one name per decision.  Absolute except the two
-# _REL_ ones, which scale with the largest eigenvalue.
+# or sets a report flag, one name per decision.  Absolute except
+# DEGENERACY_REL_TOL, which scales with the largest eigenvalue.
 ZERO_TOL = 1e-12  # a modulus, norm, asymmetry or negative weight counts as zero
 MIN_EIG_TOL = 1e-12  # Gram eigenvalues at or below count as linear dependence
-DET3_TOL = 1e-10  # |det3| at or below agrees with either independence verdict
 DEGENERACY_REL_TOL = 1e-9  # closer eigenvalues share a degeneracy group
-PAIR_REL_TOL = 1e-8  # d = 3 degeneracy rule: the two largest eigenvalues coincide
 UNITARY_TOL = 1e-10  # |U^dag U - I| of a frame rotation or a d = 3 family frame
 EQUAL_MODULUS_TOL = 1e-9  # d = 3 family frame: first-column moduli are 1/sqrt(3)
 NORM_TOL = 1e-8  # a directly constructed state is normalized
@@ -118,7 +116,7 @@ def build_setting(d: int, overlaps) -> GramSetting:
             raise ValueError(f"duplicate overlap pair ({i}, {j})")
         seen.add((i, j))
         s = complex(s)
-        if abs(s) >= 1.0:
+        if not abs(s) < 1.0:  # NaN fails too
             raise ValueError(f"|overlap| must be < 1 for normalized states, got |s_{i}{j}| = {abs(s)}")
         gram[i - 1, j - 1] = s
         gram[j - 1, i - 1] = np.conj(s)
@@ -136,21 +134,15 @@ class ValidationReport:
     min_eigenvalue: float
     linearly_independent: bool
     condition_number: float
-    det3: float | None = None
-    det3_sign_consistent: bool | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "hermitian": self.hermitian,
             "unit_diagonal": self.unit_diagonal,
             "min_eigenvalue": self.min_eigenvalue,
             "linearly_independent": self.linearly_independent,
             "condition_number": self.condition_number,
         }
-        if self.det3 is not None:
-            out["det3"] = self.det3
-            out["det3_sign_consistent"] = self.det3_sign_consistent
-        return out
 
 
 def validate(setting: GramSetting) -> ValidationReport:
@@ -158,42 +150,16 @@ def validate(setting: GramSetting) -> ValidationReport:
 
     Linear independence of the basis is exactly positive definiteness of
     the Gram matrix: the smallest eigenvalue exceeds ``MIN_EIG_TOL``.
-    For d = 3 the closed-form determinant
-
-        1 - |s12|^2 - |s13|^2 - |s23|^2 + 2 Re(s12 conj(s13) s23)
-
-    is evaluated as well and its sign checked against the eigenvalue test.
     """
     G = setting.gram
-    hermitian = bool(np.linalg.norm(G - G.conj().T) <= ZERO_TOL)
-    unit_diagonal = bool(np.max(np.abs(np.diag(G) - 1.0)) <= ZERO_TOL)
     evals = np.linalg.eigvalsh(G)
     lam_min = float(evals[0])
-    lam_max = float(evals[-1])
-    independent = bool(lam_min > MIN_EIG_TOL)
-    cond = float(lam_max / lam_min) if lam_min > 0 else float("inf")
-
-    det3 = None
-    det3_ok = None
-    if setting.d == 3:
-        s12, s13, s23 = G[0, 1], G[0, 2], G[1, 2]
-        det3 = float(
-            1.0
-            - abs(s12) ** 2
-            - abs(s13) ** 2
-            - abs(s23) ** 2
-            + 2.0 * np.real(s12 * np.conj(s13) * s23)
-        )
-        det3_ok = bool((det3 > MIN_EIG_TOL) == independent or abs(det3) <= DET3_TOL)
-
     return ValidationReport(
-        hermitian=hermitian,
-        unit_diagonal=unit_diagonal,
+        hermitian=bool(np.linalg.norm(G - G.conj().T) <= ZERO_TOL),
+        unit_diagonal=bool(np.max(np.abs(np.diag(G) - 1.0)) <= ZERO_TOL),
         min_eigenvalue=lam_min,
-        linearly_independent=independent,
-        condition_number=cond,
-        det3=det3,
-        det3_sign_consistent=det3_ok,
+        linearly_independent=bool(lam_min > MIN_EIG_TOL),
+        condition_number=float(evals[-1] / lam_min) if lam_min > 0 else float("inf"),
     )
 
 

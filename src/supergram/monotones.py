@@ -218,6 +218,15 @@ class BoundCheck:
 
 @dataclass(frozen=True, eq=False)
 class MonotoneReport:
+    """Both monotones of one state, its basis overlaps, the setting's
+    bounds (d - 1)/lambda_min and ln(d/lambda_min), and solver data.
+
+    Golden states attain both bounds (``"attained"`` in ``to_json``), but
+    attaining them is not enough: at equal overlaps 1/2 in d = 3, the
+    state (1, w, w^2), w = exp(2 pi i / 3), attains both with no golden
+    state in the setting.
+    """
+
     l1: float
     rel_entropy: float
     overlaps: np.ndarray
@@ -256,7 +265,8 @@ def monotone_report(rho) -> MonotoneReport:
 
 def bound_check(report: MonotoneReport) -> BoundCheck:
     """Verify the monotone values against the report's upper bounds and
-    flag attainment (golden states attain both)."""
+    flag attainment, which golden states show but which does not make a
+    state golden (see ``MonotoneReport``)."""
     l1_max, re_max = report.l1_bound, report.rel_entropy_bound
     return BoundCheck(
         l1_within=bool(report.l1 <= l1_max + BOUND_L1_TOL),

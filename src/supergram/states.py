@@ -40,7 +40,7 @@ class SuperpositionState:
         if coeffs.shape != (self.setting.d,):
             raise ValueError(f"expected {self.setting.d} coefficients, got shape {coeffs.shape}")
         n2 = np.real(np.vdot(coeffs, self.setting.gram @ coeffs))
-        if abs(n2 - 1.0) > NORM_TOL:
+        if not abs(n2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: psi^dag G psi = {n2}")
         object.__setattr__(self, "coeffs", coeffs)
         self.coeffs.setflags(write=False)
@@ -54,8 +54,10 @@ def normalize(psi_raw, setting: GramSetting) -> SuperpositionState:
     """Scale a raw coefficient vector to psi^dag G psi = 1 and fix its
     global phase (first sizable component real positive)."""
     v = np.asarray(psi_raw, dtype=complex)
+    if not np.isfinite(v).all():
+        raise ValueError("coefficients must be finite")
     n2 = float(np.real(np.vdot(v, setting.gram @ v)))
-    if n2 <= ZERO_TOL**2:
+    if not n2 > ZERO_TOL**2:
         raise ValueError("cannot normalize a (numerically) zero vector")
     return SuperpositionState(fix_phase(v / np.sqrt(n2)), setting)
 
@@ -90,7 +92,7 @@ class DensityOperator:
         d = self.setting.d
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")
-        if np.linalg.norm(rho - rho.conj().T) > DENSITY_TOL:
+        if not np.linalg.norm(rho - rho.conj().T) <= DENSITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > DENSITY_TOL:
@@ -162,6 +164,8 @@ def state_from_json(obj: dict, setting: GramSetting) -> SuperpositionState:
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("malformed coefficient entries") from exc
     if obj.get("normalized", False):
+        if not np.isfinite(v).all():
+            raise ValueError("coefficients must be finite")
         n2 = float(np.real(np.vdot(v, setting.gram @ v)))
         if abs(n2 - 1.0) > NORMALIZED_INPUT_TOL:
             raise ValueError(f"state asserted normalized but psi^dag G psi = {n2}")

@@ -6,7 +6,8 @@ permutations from the classic lexicographic successor algorithm, the d!
 free Kraus operators of a golden-state channel from those permutations one
 by one, the degenerate-eigenspace deviation from a zooming dense grid, and
 the qubit relative-entropy monotone from closed-form 2x2 logarithms and a
-golden-section search.
+golden-section search.  Golden existence is checked from the
+phase-invariant 3-cycle data of the Gram matrix, with no fit.
 """
 
 from __future__ import annotations
@@ -141,6 +142,37 @@ def grid_min_deviation(setting, X, lam, levels: int = 7, n: int = 121):
         alo, ahi = alphas[i] - 2 * da, alphas[i] + 2 * da
         blo, bhi = betas[j] - 2 * db, betas[j] + 2 * db
     return best
+
+
+def spectral_golden_gram(lam1, phases):
+    """mu I + (lam1 - mu) x x^dag with x_k = exp(i phases_k) / sqrt(d) and
+    mu = (d - lam1) / (d - 1): the unit-diagonal matrix with spectrum
+    {lam1, mu x (d - 1)} and that lam1-eigenvector."""
+    x = np.exp(1j * np.asarray(phases, dtype=float)) / np.sqrt(len(phases))
+    mu = (len(x) - lam1) / (len(x) - 1)
+    return mu * np.eye(len(x)) + (lam1 - mu) * np.outer(x, x.conj())
+
+
+def bargmann_golden(G, tol):
+    """Whether G admits a golden state, from gauge-invariant data alone.
+
+    G is golden exactly when every off-diagonal modulus equals one
+    s < 1/(d - 1) and every 3-cycle Bargmann invariant G_ij G_jk G_ki,
+    i < j < k, equals -s^3 (V. Bargmann, J. Math. Phys. 5, 862, 1964):
+    then u_j = -conj(G_1j) / s gives G_ij = -s u_i conj(u_j).  Moduli must
+    lie within tol of their mean s, and the invariants are compared in
+    distance units, |G_ij G_jk G_ki + s^3| <= tol s^2, so that overlaps
+    far below tol are still seen.
+    """
+    G = np.asarray(G, dtype=complex)
+    d = G.shape[0]
+    mods = np.abs(G[~np.eye(d, dtype=bool)])
+    s = float(np.mean(mods))
+    if np.max(np.abs(mods - s)) > tol or not s < 1.0 / (d - 1):
+        return False
+    i, j, k = np.ogrid[:d, :d, :d]
+    cycles = G[:, :, None] * G[None, :, :] * G.T[:, None, :]
+    return bool(np.all(np.abs(cycles[(i < j) & (j < k)] + s**3) <= tol * s**2))
 
 
 def _log_2x2(H):

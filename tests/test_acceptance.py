@@ -12,6 +12,7 @@ import numpy as np
 from supergram.cli import main
 from supergram.freeops import apply_map, build_kraus_set, is_free_kraus
 from supergram.golden import (
+    ACCEPT_TOL,
     N_STARTS,
     TABLE1_FAMILIES,
     closed_form_equal_real,
@@ -29,7 +30,14 @@ from supergram.monotones import (
 from supergram.sampling import random_setting, random_state
 from supergram.states import density_mixed, density_pure, normalize
 
-from oracles import grid_min_deviation, lex_permutations, power_extreme_eigs, s1_operators
+from oracles import (
+    bargmann_golden,
+    grid_min_deviation,
+    lex_permutations,
+    power_extreme_eigs,
+    s1_operators,
+    spectral_golden_gram,
+)
 
 
 def _phase_aligned_distance(a, b):
@@ -40,6 +48,11 @@ def _phase_aligned_distance(a, b):
 
 def equal_setting(d, s):
     return build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
+
+
+def gram_setting(G):
+    d = G.shape[0]
+    return build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
 
 
 def certificate_settings():
@@ -188,9 +201,27 @@ def test_criterion_6_degeneracy_theorem():
         if detect(setting).outcome == "none":
             none_count += 1
     assert none_count == 1000
+    # the same law at every d: golden exactly when the top d - 1 eigenvalues coincide
+    rng = np.random.default_rng(61)
+    dims = (*range(2, 9), 16, 32, 50)
+    for d in dims:
+        for _ in range(10):
+            lam1 = float(rng.uniform(0.02, 1.0))
+            G = spectral_golden_gram(lam1, rng.uniform(0.0, 2.0 * np.pi, d))
+            assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-10
+            setting = gram_setting(G)
+            mu = (d - lam1) / (d - 1)
+            assert np.max(np.abs(eigensystem(setting).eigenvalues[1:] - mu)) <= 1e-10
+            assert detect(setting).outcome == "found"
+    for d in range(4, 9):
+        for _ in range(100):
+            setting = random_setting(d, rng, min_eigenvalue=0.02, min_gap=1e-6)
+            assert detect(setting).outcome == "none"
     print(
         "\ncriterion 6: PASS - 100 family members admit golden states; "
-        "1000 nondegenerate random settings admit none"
+        "1000 nondegenerate random settings admit none; "
+        f"{10 * len(dims)} spectral golden forms at d = 2..50 admit one, "
+        "500 nondegenerate random settings at d = 4..8 admit none"
     )
 
 
@@ -309,7 +340,27 @@ def test_criterion_10_oracle_cross_checks():
         search = detect(setting, n_starts=N_STARTS).best_deviation
         worst_grid = max(worst_grid, abs(grid - search))
     assert worst_grid <= 1e-8
+
+    # golden existence against the gauge-invariant Bargmann oracle
+    rng = np.random.default_rng(101)
+    cases = []
+    for d in (*range(2, 9), 16, 32, 50):
+        for _ in range(20):
+            G = spectral_golden_gram(rng.uniform(0.02, 1.0), rng.uniform(0.0, 2.0 * np.pi, d))
+            cases.append(gram_setting(G))
+    for d in range(3, 9):
+        cases += [random_setting(d, rng, min_eigenvalue=0.02, min_gap=1e-6) for _ in range(100)]
+    for family, (_, _, _, (rlo, _)) in TABLE1_FAMILIES.items():
+        sign = -1.0 if rlo < 0 else 1.0
+        cases += [table1_setting(family, sign * mag) for mag in (0.1, 0.25, 0.4)]
+    cases += [equal_setting(3, s) for s in (0.5, 0.2, 1e-7, -0.3, 0.0)]
+    a = 0.2 * np.exp(1j * np.pi / 7)
+    cases.append(build_setting(3, [(1, 2, a), (2, 3, a), (1, 3, np.conj(a))]))
+    found = [detect(st).outcome == "found" for st in cases]
+    assert found == [bargmann_golden(st.gram, ACCEPT_TOL) for st in cases]
+    assert sum(found) == 200 + 27 + 2
     print(
         f"\ncriterion 10: PASS - eigensolver oracle within {worst_eig:.2e} on 50 "
-        f"instances; permutation orders identical; grid vs search within {worst_grid:.2e}"
+        f"instances; permutation orders identical; grid vs search within {worst_grid:.2e}; "
+        f"Bargmann oracle agrees with detect on {len(cases)} settings"
     )

@@ -359,6 +359,26 @@ def test_monotones_basis_state_zero(tmp_path, capsys):
     assert out["attained"] is False
 
 
+def test_non_finite_input_is_input_error(tmp_path, capsys):
+    nan_setting = write_setting(tmp_path, "nan.json", 3, [(1, 2, complex(np.nan, 0.0))])
+    spath = write_setting(tmp_path, "set.json", 2, [(1, 2, 0.6)])
+    nan_state = tmp_path / "state.json"
+    nan_state.write_text(json.dumps({"coeffs": [{"re": np.nan}, {"re": 1.0}]}))
+    out = str(tmp_path / "o.csv")
+    for args in (
+        ["golden", nan_setting],
+        ["validate", nan_setting],
+        ["scan", "--family", "d2-complex", "--from", "0", "--to", "0.5", "--step", "0.25",
+         "--phase", "nan", "--out", out],
+        ["monotones", spath, str(nan_state)],
+    ):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    assert not os.path.exists(out)
+
+
 def test_monotones_input_errors(tmp_path):
     spath = write_setting(tmp_path, "set.json", 2, [(1, 2, 0.6)])
     zero = tmp_path / "zero.json"

@@ -39,3 +39,24 @@ def test_oracles_stay_independent():
             name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
             assert not name.startswith("eig"), f"oracles.py calls {name}"
             assert name != "permutations", "oracles.py calls permutations"
+
+
+def test_every_tolerance_is_used():
+    # each module-level *_TOL in gram.py decides something somewhere in the
+    # package: a load of its name or attribute other than its assignment
+    src = Path(supergram.__file__).parent
+    tols = {
+        target.id
+        for node in ast.parse((src / "gram.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_TOL")
+    }
+    used = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert tols <= used, f"unused tolerances: {sorted(tols - used)}"

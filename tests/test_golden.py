@@ -16,7 +16,6 @@ from supergram.golden import (
     candidate_form,
     closed_form_d2,
     closed_form_equal_real,
-    degeneracy_required_d3,
     degenerate_family_d3,
     detect,
     random_frame_d3,
@@ -26,6 +25,8 @@ from supergram.golden import (
 )
 from supergram.sampling import random_setting, random_state
 from supergram.states import normalize, tilde
+
+from oracles import spectral_golden_gram
 
 
 def equal_setting(d, s):
@@ -288,23 +289,22 @@ def test_degenerate_family_accepts_frames_within_modulus_tolerance():
     assert rep.candidate.lambda_min == pytest.approx(0.1, abs=1e-10)
 
 
-def test_degeneracy_required_d3():
-    rep = degeneracy_required_d3(equal_setting(3, -0.3))
-    assert rep.admits_golden and rep.degenerate_pair and rep.consistent
-
+def test_degeneracy_law_at_every_d():
+    # a unit-diagonal G admits a golden state exactly when its top d - 1
+    # eigenvalues coincide; at d = 3 that is the degenerate top pair
     rng = np.random.default_rng(43)
-    st = degenerate_family_d3(0.7, random_frame_d3(rng))
-    rep = degeneracy_required_d3(st)
-    assert rep.admits_golden and rep.degenerate_pair
-
-    for _ in range(100):
-        st = random_setting(3, rng, min_eigenvalue=0.05, min_gap=1e-4)
-        rep = degeneracy_required_d3(st)
-        assert not rep.admits_golden
-        assert rep.consistent
-
-    with pytest.raises(ValueError):
-        degeneracy_required_d3(build_setting(2, []))
+    for d in (*range(2, 9), 16, 32, 50):
+        for lam1 in (1.0, *rng.uniform(0.02, 1.0, 3)):
+            G = spectral_golden_gram(lam1, rng.uniform(0.0, 2.0 * np.pi, d))
+            st = build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+            mu = (d - lam1) / (d - 1)
+            assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-10
+            assert np.max(np.abs(np.linalg.eigvalsh(st.gram)[1:] - mu)) <= 1e-10
+            assert detect(st).outcome == "found"
+    for d in range(3, 9):
+        for _ in range(20):
+            st = random_setting(d, rng, min_eigenvalue=0.02, min_gap=1e-6)
+            assert detect(st).outcome == "none"
 
 
 # -------------------------------------------------------------------- invariants
@@ -398,9 +398,9 @@ def test_hermitian_circulants_admit_no_golden_state():
         rep = detect(st)
         assert rep.outcome == "none"
         assert not rep.inconclusive
-    rep = degeneracy_required_d3(st3)
-    assert not rep.admits_golden
-    assert rep.consistent
+    # consistent with the degeneracy law: the top pair is split
+    lam = np.linalg.eigvalsh(st3.gram)
+    assert lam[2] - lam[1] > 1e-3
 
 
 def test_found_implies_every_target_certifies():

@@ -48,22 +48,28 @@ def test_build_rejects_bad_input():
         build_setting(2, [(1, 2, 1.0)])
     with pytest.raises(ValueError):
         build_setting(1, [])
+    for bad in (np.nan, complex(0.1, np.nan), np.inf):
+        with pytest.raises(ValueError):
+            build_setting(2, [(1, 2, bad)])
 
 
 def test_validate_d3_equal_positive():
     st = build_setting(3, [(1, 2, 0.6), (1, 3, 0.6), (2, 3, 0.6)])
     rep = validate(st)
     assert rep.linearly_independent
-    # 1 - 3 s^2 + 2 s^3 at s = 0.6
-    assert rep.det3 == pytest.approx(0.352, abs=1e-12)
-    assert rep.det3_sign_consistent
+    # spectrum {1 + 2 s, 1 - s, 1 - s} at s = 0.6
+    assert rep.min_eigenvalue == pytest.approx(0.4, abs=1e-12)
+    assert rep.condition_number == pytest.approx(5.5, abs=1e-12)
+    assert set(rep.to_json()) == {
+        "hermitian", "unit_diagonal", "min_eigenvalue", "linearly_independent", "condition_number",
+    }
 
 
 def test_validate_d3_equal_boundary_is_dependent():
     st = build_setting(3, [(1, 2, -0.5), (1, 3, -0.5), (2, 3, -0.5)])
     rep = validate(st)
     assert not rep.linearly_independent
-    assert rep.det3 == pytest.approx(0.0, abs=1e-12)
+    assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
 
 def test_validate_d2_near_unit_overlap():

@@ -250,6 +250,18 @@ def test_bound_check_golden_attains_both():
     assert js["bounds"]["l1_max"] == pytest.approx(2.5)
 
 
+def test_attaining_the_bounds_does_not_make_a_state_golden():
+    # equal overlaps 1/2 at d = 3 admit no golden state, yet (1, w, w^2)
+    # from the degenerate minimal eigenspace reaches both bounds
+    st = build_setting(3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
+    w = np.exp(2j * np.pi / 3)
+    report = monotone_report(normalize(np.array([1.0, w, w**2]), st))
+    assert report.l1 == pytest.approx(4.0, abs=1e-12)
+    assert report.rel_entropy == pytest.approx(np.log(6.0), abs=1e-5)
+    assert report.to_json()["attained"] is True
+    assert detect(st).outcome == "none"
+
+
 def test_bounds_hold_for_random_states():
     st = build_setting(3, [(1, 2, -0.3), (1, 3, -0.3), (2, 3, -0.3)])
     lam = eigensystem(st).lambda_min

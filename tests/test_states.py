@@ -75,6 +75,19 @@ def test_direct_construction_guards_normalization():
         SuperpositionState(np.array([1.0, 1.0]), st)
 
 
+def test_constructors_reject_nan():
+    st = build_setting(2, [])
+    with pytest.raises(ValueError):
+        SuperpositionState(np.array([np.nan, 1.0]), st)
+    with pytest.raises(ValueError):
+        DensityOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]), st)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            normalize(np.array([bad, 1.0]), st)
+        with pytest.raises(ValueError):
+            state_from_json({"coeffs": [{"re": bad}, {"re": 1.0}], "normalized": True}, st)
+
+
 def test_value_types_copy_their_input():
     # each frozen type keeps its own copy: writing to the caller's array
     # afterwards changes nothing, and the caller's array stays writable
