@@ -244,7 +244,7 @@ def reorient_embedding(V: np.ndarray, U: np.ndarray) -> np.ndarray:
     (U V)^dag (U V) is unchanged."""
     U = np.asarray(U, dtype=complex)
     eye = np.eye(U.shape[0])
-    if np.linalg.norm(U.conj().T @ U - eye) > UNITARY_TOL:
+    if not np.isfinite(U).all() or not np.linalg.norm(U.conj().T @ U - eye) <= UNITARY_TOL:
         raise ValueError("frame rotation must be unitary")
     return U @ np.asarray(V, dtype=complex)
 

@@ -11,6 +11,7 @@ bounds (d - 1) / lambda_min and ln(d / lambda_min).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +80,28 @@ def _entropy_term(rho: np.ndarray) -> float:
 def _loewner_log(w: np.ndarray) -> np.ndarray:
     """Divided-difference table of ln on the (floored) eigenvalues:
     L_ij = (ln w_i - ln w_j) / (w_i - w_j), with 1/w on coincidences."""
-    w = np.clip(w, _Q_FLOOR * 1e-6, None)
+    w = np.maximum(w, _Q_FLOOR * 1e-6)
     lw = np.log(w)
-    diff = w[:, None] - w[None, :]
-    num = lw[:, None] - lw[None, :]
-    small = np.abs(diff) <= 1e-12 * np.maximum(w[:, None], w[None, :])
-    mean_inv = 2.0 / (w[:, None] + w[None, :])
-    return np.where(small, mean_inv, num / np.where(small, 1.0, diff))
+    diff = np.subtract.outer(w, w)
+    small = np.abs(diff) <= 1e-12 * np.maximum.outer(w, w)
+    diff[small] = 1.0
+    L = np.subtract.outer(lw, lw)
+    L /= diff
+    L[small] = 2.0 / np.add.outer(w, w)[small]
+    return L
 
 
 @dataclass(frozen=True)
 class RelEntropyInfo:
+    """Diagnostics of one relative-entropy solve.
+
+    ``value`` is the monotone and ``q`` the optimal weights on the simplex.
+    ``iterations`` counts accepted steps, full or shortened.
+    ``gradient_norm`` is the simplex KKT residual at ``q`` (see
+    ``_projected_gradient_norm``), and ``converged`` says whether it fell
+    to ``GRAD_TOL``.
+    """
+
     value: float
     q: np.ndarray
     iterations: int
@@ -124,22 +136,23 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     setting, V, rho_emb = _embedded(rho)
     d = setting.d
     const = _entropy_term(rho_emb)
+    Vh = V.conj().T
 
     def objective_grad(q):
-        sigma = (V * q) @ V.conj().T
-        w, U = np.linalg.eigh(sigma)
-        w = np.clip(w, _LOG_FLOOR, None)
-        logs = np.log(w)
-        A = U.conj().T @ rho_emb @ U
-        val = const - float(np.real(np.sum(np.diag(A) * logs)))
-        L = _loewner_log(w)
-        W = U.conj().T @ V
-        M = A.T * L
-        grad = -np.real(np.einsum("ik,ij,jk->k", W, M, W.conj()))
+        # one Hermitian eigendecomposition of sigma gives the value
+        # const - sum_i A_ii ln w_i and, through the Daleckii-Krein table L,
+        # the gradient -Re sum_ij W_ik (A^T o L)_ij conj(W_jk)
+        w, U = np.linalg.eigh((V * q) @ Vh)
+        w = np.maximum(w, _LOG_FLOOR)
+        Uh = U.conj().T
+        A = Uh @ rho_emb @ U
+        val = const - float(A.diagonal().real @ np.log(w))
+        W = Uh @ V
+        grad = -(W * ((A.T * _loewner_log(w)) @ W.conj())).real.sum(axis=0)
         return val, grad
 
     def trial(x):
-        x = np.clip(x, _Q_FLOOR, None)
+        x = np.maximum(x, _Q_FLOOR)
         x /= x.sum()
         return (x, *objective_grad(x))
 
@@ -150,9 +163,9 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     omega = 1.0
     while pg_norm > GRAD_TOL and iterations < _MAX_ITER:
         # step q_k <- q_k g_k^tau with g = -grad, in logs so that a large
-        # tau cannot overflow
-        with np.errstate(divide="ignore"):
-            log_g = np.log(np.maximum(-grad, 0.0))
+        # tau cannot overflow; ln 0 = -inf gives a zero weight
+        g = -grad
+        log_g = np.log(g, out=np.full(d, -np.inf), where=g > 0.0)
         log_g -= log_g.max()
         # tau = omega, then the plain step tau = 1, then halved: the slope
         # at tau = 0 is -Cov_q(g, ln g) <= 0, so a short enough step descends
@@ -190,8 +203,10 @@ def _projected_gradient_norm(q: np.ndarray, grad: np.ndarray) -> float:
     """KKT residual on the simplex: interior coordinates must share one
     multiplier, floored coordinates may only push outward."""
     active = q <= _Q_FLOOR * 10.0
-    if np.all(active):
-        active = np.zeros_like(active)
+    if not active.any() or active.all():
+        # every coordinate counts as interior
+        r = (grad - (q @ grad) / q.sum()) * q
+        return math.sqrt(r @ r)
     mu = float(np.sum(q[~active] * grad[~active]) / np.sum(q[~active]))
     r = grad - mu
     r[active] = np.minimum(r[active], 0.0)

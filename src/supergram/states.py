@@ -39,6 +39,8 @@ class SuperpositionState:
         coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.shape != (self.setting.d,):
             raise ValueError(f"expected {self.setting.d} coefficients, got shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         n2 = np.real(np.vdot(coeffs, self.setting.gram @ coeffs))
         if not abs(n2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: psi^dag G psi = {n2}")
@@ -92,6 +94,8 @@ class DensityOperator:
         d = self.setting.d
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix entries must be finite")
         if not np.linalg.norm(rho - rho.conj().T) <= DENSITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = float(np.real(np.trace(rho)))

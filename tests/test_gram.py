@@ -189,6 +189,17 @@ def test_reorient_embedding():
         reorient_embedding(V, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_reorient_embedding_rejects_non_finite_frames():
+    V = embedding(build_setting(2, [(1, 2, 0.3)]))
+    for bad in (np.nan, np.inf):
+        U = np.eye(2, dtype=complex)
+        U[0, 1] = bad
+        with pytest.raises(ValueError):
+            reorient_embedding(V, U)
+    with pytest.raises(ValueError):
+        reorient_embedding(V, np.full((2, 2), np.nan))
+
+
 def test_reorient_aligns_golden_with_uniform_frame_vector():
     # overlap -4/5: a rotation can carry the embedded golden state onto the
     # uniform vector of the orthonormal frame while G is unchanged

@@ -5,6 +5,8 @@ from supergram.freeops import apply_map, build_kraus_set
 from supergram.golden import closed_form_equal_real, detect
 from supergram.gram import build_setting, eigensystem, embedding
 from supergram.monotones import (
+    _Q_FLOOR,
+    _projected_gradient_norm,
     bound_check,
     constant_trace_overlaps,
     l1_superposition,
@@ -164,6 +166,71 @@ def test_rel_entropy_iteration_budget_d2():
     ]
     assert all(info.converged for info in infos)
     assert sum(info.iterations for info in infos) < 500
+
+
+def test_rel_entropy_iteration_budget_mixed():
+    # the bench's regime: two-state mixtures at d = 2..5, overlap fractions
+    # 0.6 and 0.9 of the way from orthonormal to dependent (equal real
+    # overlaps at d >= 3); 485 iterations in total when this test was written
+    rng = np.random.default_rng(24)
+    infos = []
+    for d in range(2, 6):
+        for frac in (0.6, 0.9):
+            if d == 2:
+                st = build_setting(2, [(1, 2, frac * np.exp(2j * np.pi * rng.uniform()))])
+            else:
+                s = frac / (1.0 - d)
+                st = build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
+            for _ in range(5):
+                states = [random_state(st, rng), random_state(st, rng)]
+                rho = density_mixed(states, rng.dirichlet(np.ones(2)))
+                infos.append(rel_entropy_superposition(rho, full_output=True)[1])
+    assert len(infos) == 40
+    assert all(info.converged for info in infos)
+    assert sum(info.iterations for info in infos) <= 485
+
+
+def kkt_residual(q, grad):
+    """Simplex KKT residual written out coordinate by coordinate: interior
+    coordinates share the multiplier mu and contribute q_k (grad_k - mu);
+    a floored coordinate contributes only when grad_k < mu, that is when
+    raising q_k would lower the objective.  With no interior coordinate
+    every coordinate counts as interior."""
+    floored = [k for k in range(len(q)) if q[k] <= 10.0 * _Q_FLOOR]
+    if len(floored) == len(q):
+        floored = []
+    interior = [k for k in range(len(q)) if k not in floored]
+    mu = sum(q[k] * grad[k] for k in interior) / sum(q[k] for k in interior)
+    terms = [q[k] * (grad[k] - mu) for k in interior]
+    terms += [min(grad[k] - mu, 0.0) for k in floored]
+    return float(np.sqrt(sum(t * t for t in terms)))
+
+
+def test_projected_gradient_norm_matches_kkt_definition():
+    rng = np.random.default_rng(25)
+    # no coordinate floored
+    for d in range(2, 6):
+        q = rng.dirichlet(np.ones(d))
+        grad = -rng.uniform(0.5, 1.5, d)
+        assert _projected_gradient_norm(q, grad) == pytest.approx(kkt_residual(q, grad), rel=1e-12)
+    # every coordinate floored
+    q = np.full(4, _Q_FLOOR)
+    grad = -rng.uniform(0.5, 1.5, 4)
+    assert _projected_gradient_norm(q, grad) == pytest.approx(kkt_residual(q, grad), rel=1e-12)
+    # a mix: the floored coordinate 1 has grad above mu (it pushes outward,
+    # toward the floor, and adds nothing), coordinate 3 below mu (it pushes
+    # inward and adds |grad_3 - mu|)
+    q = np.array([0.5, _Q_FLOOR, 0.3, 2.0 * _Q_FLOOR, 0.2])
+    q /= q.sum()
+    grad = np.array([-1.0, -0.2, -1.1, -1.9, -0.9])
+    mu = (q[[0, 2, 4]] @ grad[[0, 2, 4]]) / q[[0, 2, 4]].sum()
+    assert grad[1] > mu > grad[3]
+    expected = kkt_residual(q, grad)
+    assert expected > abs(grad[3] - mu)
+    assert _projected_gradient_norm(q, grad) == pytest.approx(expected, rel=1e-12)
+    pushed = grad.copy()
+    pushed[1] += 5.0
+    assert _projected_gradient_norm(q, pushed) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rel_entropy_converges_near_dependence():

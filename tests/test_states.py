@@ -88,6 +88,16 @@ def test_constructors_reject_nan():
             state_from_json({"coeffs": [{"re": bad}, {"re": 1.0}], "normalized": True}, st)
 
 
+def test_constructors_reject_infinite_entries():
+    # rejected before any arithmetic, so no RuntimeWarning escapes
+    st = build_setting(2, [])
+    for bad in (np.inf, -np.inf, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SuperpositionState(np.array([bad, 1.0]), st)
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]), st)
+
+
 def test_value_types_copy_their_input():
     # each frozen type keeps its own copy: writing to the caller's array
     # afterwards changes nothing, and the caller's array stays writable
