@@ -160,8 +160,7 @@ def golden_setting(d: int, c: float, phases) -> GramSetting:
     u = np.exp(1j * np.asarray(phases, dtype=float))
     if u.shape != (d,):
         raise ValueError(f"need one phase per basis state, got shape {u.shape}")
-    G = _form(c, u)
-    return build_setting(d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)])
+    return GramSetting(_form(c, u))
 
 
 def candidate_form(setting: GramSetting, lambda_min: float, phases) -> SuperpositionState:

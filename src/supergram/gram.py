@@ -8,7 +8,7 @@ free-operation certificates) consumes the spectral data assembled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,21 +67,40 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramSetting:
-    """An inner-product setting: dimension, sparse overlaps, and the full
-    Gram matrix.
-
-    ``overlaps`` holds 1-based ``(i, j, value)`` triples with ``i < j``;
-    pairs not listed have overlap zero.  ``gram`` is the d x d Hermitian
-    matrix with unit diagonal built from them.
+    """An inner-product setting: the Gram matrix G_ij = <c_i|c_j> of d >= 2
+    normalized basis states, finite, Hermitian and unit-diagonal within
+    ``ZERO_TOL``, with off-diagonal moduli below 1.  Stored read-only as its
+    upper triangle mirrored onto the lower one, with an exact unit diagonal.
+    Positive definiteness is not checked here; ``validate`` reports it.
     """
 
-    d: int
-    overlaps: tuple
     gram: np.ndarray
+    d: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gram", np.array(self.gram, dtype=complex))
-        self.gram.setflags(write=False)
+        G = np.array(self.gram, dtype=complex)
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 2:
+            raise ValueError(f"a Gram matrix must be square with d >= 2, got shape {G.shape}")
+        # one pass over Python scalars, cheaper than numpy calls at a basis's small d
+        rows, asymmetry = G.tolist(), 0.0  # asymmetry = |G - G^dag|_F^2
+        for i, row in enumerate(rows):
+            if not abs(row[i] - 1.0) <= ZERO_TOL:
+                raise ValueError(f"Gram matrix diagonal is not 1: G_{i + 1}{i + 1} = {row[i]}")
+            asymmetry += (2.0 * row[i].imag) ** 2
+            row[i] = 1.0
+            for j in range(i + 1, len(rows)):
+                s = row[j]
+                if not abs(s) < 1.0:  # NaN fails too
+                    raise ValueError(f"|overlap| must be < 1 for normalized states, "
+                                     f"got |s_{i + 1}{j + 1}| = {abs(s)}")
+                asymmetry += 2.0 * abs(s - rows[j][i].conjugate()) ** 2
+                rows[j][i] = s.conjugate()
+        if not asymmetry <= ZERO_TOL**2:  # a NaN or an infinity below the diagonal fails here
+            raise ValueError("Gram matrix is not Hermitian")
+        gram = np.array(rows, dtype=complex)
+        gram.setflags(write=False)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "d", len(rows))
 
     def overlap(self, i: int, j: int) -> complex:
         """Overlap of basis states ``i`` and ``j`` (1-based)."""
@@ -89,7 +108,15 @@ class GramSetting:
 
 
 def same_setting(a: GramSetting, b: GramSetting) -> bool:
-    return a is b or (a.d == b.d and np.array_equal(a.gram, b.gram))
+    return a is b or np.array_equal(a.gram, b.gram)
+
+
+def _integer(x):
+    """``x`` as an int if it is an integral number (3 or 3.0), else None."""
+    try:
+        return int(x) if int(x) == x else None
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def build_setting(d: int, overlaps) -> GramSetting:
@@ -97,66 +124,50 @@ def build_setting(d: int, overlaps) -> GramSetting:
 
     Parameters
     ----------
-    d : dimension, at least 2.
-    overlaps : iterable of ``(i, j, value)`` with 1-based ``i < j``.
-        Missing pairs default to overlap zero.
+    d : dimension, an integer of at least 2.
+    overlaps : iterable of ``(i, j, value)``, integer 1-based ``i < j``,
+        each pair at most once.  Missing pairs default to overlap zero.
 
-    Positive definiteness is not checked here; ``validate`` reports it.
+    ``GramSetting`` checks the values and ``validate`` the dependence.
     """
-    if int(d) != d or d < 2:
+    n = _integer(d)
+    if n is None or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
-    gram = np.eye(d, dtype=complex)
+    gram = np.eye(n, dtype=complex)
     seen = set()
-    stored = []
     for i, j, s in overlaps:
-        if not (1 <= i < j <= d):
-            raise ValueError(f"overlap indices must satisfy 1 <= i < j <= d, got ({i}, {j})")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate overlap pair ({i}, {j})")
-        seen.add((i, j))
+        a, b = _integer(i), _integer(j)
+        if a is None or b is None or not 1 <= a < b <= n:
+            raise ValueError(f"overlap indices must be integers with 1 <= i < j <= d, got ({i!r}, {j!r})")
+        if (a, b) in seen:
+            raise ValueError(f"duplicate overlap pair ({a}, {b})")
+        seen.add((a, b))
         s = complex(s)
-        if not abs(s) < 1.0:  # NaN fails too
-            raise ValueError(f"|overlap| must be < 1 for normalized states, got |s_{i}{j}| = {abs(s)}")
-        gram[i - 1, j - 1] = s
-        gram[j - 1, i - 1] = np.conj(s)
-        stored.append((int(i), int(j), s))
-    return GramSetting(d=d, overlaps=tuple(stored), gram=gram)
+        gram[a - 1, b - 1], gram[b - 1, a - 1] = s, s.conjugate()
+    return GramSetting(gram)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Health report for a setting.  ``linearly_independent`` is the
-    verdict; the other fields say why."""
+    """Linear independence of a setting's basis.  ``linearly_independent``
+    is the verdict; the other fields say how close it came."""
 
-    hermitian: bool
-    unit_diagonal: bool
     min_eigenvalue: float
     linearly_independent: bool
     condition_number: float
 
     def to_json(self) -> dict:
-        return {
-            "hermitian": self.hermitian,
-            "unit_diagonal": self.unit_diagonal,
-            "min_eigenvalue": self.min_eigenvalue,
-            "linearly_independent": self.linearly_independent,
-            "condition_number": self.condition_number,
-        }
+        return asdict(self)
 
 
 def validate(setting: GramSetting) -> ValidationReport:
-    """Check Hermiticity, unit diagonal and positive definiteness.
-
-    Linear independence of the basis is exactly positive definiteness of
-    the Gram matrix: the smallest eigenvalue exceeds ``MIN_EIG_TOL``.
+    """Check linear independence of the basis, which is exactly positive
+    definiteness of the Gram matrix: the smallest eigenvalue exceeds
+    ``MIN_EIG_TOL``.  ``GramSetting`` guarantees the rest.
     """
-    G = setting.gram
-    evals = np.linalg.eigvalsh(G)
+    evals = np.linalg.eigvalsh(setting.gram)
     lam_min = float(evals[0])
     return ValidationReport(
-        hermitian=bool(np.linalg.norm(G - G.conj().T) <= ZERO_TOL),
-        unit_diagonal=bool(np.max(np.abs(np.diag(G) - 1.0)) <= ZERO_TOL),
         min_eigenvalue=lam_min,
         linearly_independent=bool(lam_min > MIN_EIG_TOL),
         condition_number=float(evals[-1] / lam_min) if lam_min > 0 else float("inf"),
@@ -250,12 +261,13 @@ def reorient_embedding(V: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def setting_to_json(setting: GramSetting) -> dict:
-    """Serialize as {"d": ..., "overlaps": [{"i", "j", "re", "im"}, ...]}."""
+    """Serialize as {"d": ..., "overlaps": [{"i", "j", "re", "im"}, ...]}:
+    the nonzero pairs of the upper triangle, 1-based, in row-major order."""
     return {
         "d": setting.d,
         "overlaps": [
-            {"i": i, "j": j, "re": float(np.real(s)), "im": float(np.imag(s))}
-            for i, j, s in setting.overlaps
+            {"i": i + 1, "j": j + 1, "re": float(s.real), "im": float(s.imag)}
+            for (i, j), s in np.ndenumerate(np.triu(setting.gram, 1)) if s != 0
         ],
     }
 
@@ -264,12 +276,14 @@ def setting_from_json(obj: dict) -> GramSetting:
     """Inverse of ``setting_to_json``; omitted pairs are zero."""
     if not isinstance(obj, dict) or "d" not in obj:
         raise ValueError("setting JSON must be an object with a 'd' field")
+    entries = obj.get("overlaps", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"'overlaps' must be a list, got {entries!r}")
     pairs = []
-    for entry in obj.get("overlaps", []):
+    for entry in entries:
         try:
-            i, j = int(entry["i"]), int(entry["j"])
             s = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        except (TypeError, KeyError, ValueError) as exc:
+            pairs.append((entry["i"], entry["j"], s))
+        except (AttributeError, TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed overlap entry: {entry!r}") from exc
-        pairs.append((i, j, s))
-    return build_setting(int(obj["d"]), pairs)
+    return build_setting(obj["d"], pairs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GRAD_TOL
+from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GRAD_TOL, MIN_EIG_TOL
 from .gram import GramSetting, eigensystem, embedding
 from .states import DensityOperator, SuperpositionState
 
@@ -263,10 +263,12 @@ class MonotoneReport:
 
 def monotone_report(rho) -> MonotoneReport:
     """Evaluate both monotones, the basis overlaps, and the setting's
-    extremal bounds for one state."""
-    value, info = rel_entropy_superposition(rho, full_output=True)
+    extremal bounds for one state; refuses a dependent setting."""
     setting = rho.setting
     lam_min = eigensystem(setting).lambda_min
+    if lam_min <= MIN_EIG_TOL:
+        raise ValueError("setting is not positive definite (dependent basis)")
+    value, info = rel_entropy_superposition(rho, full_output=True)
     return MonotoneReport(
         l1=l1_superposition(rho),
         rel_entropy=value,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gram import GramSetting, build_setting, eigensystem
+from .gram import GramSetting, eigensystem
 from .states import SuperpositionState, normalize
 
 __all__ = ["random_setting", "random_state"]
@@ -32,10 +32,7 @@ def random_setting(
     while True:
         W = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         W /= np.linalg.norm(W, axis=0, keepdims=True)
-        G = W.conj().T @ W
-        setting = build_setting(
-            d, [(i + 1, j + 1, G[i, j]) for i in range(d) for j in range(i + 1, d)]
-        )
+        setting = GramSetting(W.conj().T @ W)
         es = eigensystem(setting)
         if es.lambda_min <= min_eigenvalue:
             continue

@@ -56,6 +56,8 @@ def normalize(psi_raw, setting: GramSetting) -> SuperpositionState:
     """Scale a raw coefficient vector to psi^dag G psi = 1 and fix its
     global phase (first sizable component real positive)."""
     v = np.asarray(psi_raw, dtype=complex)
+    if v.shape != (setting.d,):
+        raise ValueError(f"expected {setting.d} coefficients, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("coefficients must be finite")
     n2 = float(np.real(np.vdot(v, setting.gram @ v)))
@@ -167,6 +169,8 @@ def state_from_json(obj: dict, setting: GramSetting) -> SuperpositionState:
         )
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("malformed coefficient entries") from exc
+    if len(v) != setting.d:
+        raise ValueError(f"expected {setting.d} coefficients, got {len(v)}")
     if obj.get("normalized", False):
         if not np.isfinite(v).all():
             raise ValueError("coefficients must be finite")

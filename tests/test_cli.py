@@ -384,3 +384,35 @@ def test_monotones_input_errors(tmp_path):
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"coeffs": [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}))
     assert main(["monotones", spath, str(zero)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"d": null}', '{"d": [3]}', '{"d": 1e400}', '{"d": 2.5}',
+    '{"d": 3, "overlaps": 5}', '{"d": 3, "overlaps": null}',
+    '{"d": 3, "overlaps": [{"i": 1.5, "j": 2, "re": 0.1}]}',
+])
+def test_malformed_setting_json_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for command in ("validate", "golden"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_monotones_refuses_dependent_setting(tmp_path, capsys):
+    spath = write_setting(tmp_path, "dep.json", 2, [(1, 2, -0.9999999999999)])
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"coeffs": [{"re": 1.0}, {"re": 0.0}]}))
+    assert main(["monotones", spath, str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dependent basis" in captured.err
+
+
+def test_monotones_wrong_coefficient_count_is_input_error(tmp_path, capsys):
+    spath = write_setting(tmp_path, "set.json", 2, [(1, 2, 0.6)])
+    state = tmp_path / "short.json"
+    state.write_text(json.dumps({"coeffs": [{"re": 1.0}]}))
+    assert main(["monotones", spath, str(state)]) == 2
+    assert capsys.readouterr().err == "error: expected 2 coefficients, got 1\n"

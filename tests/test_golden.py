@@ -426,8 +426,9 @@ def test_nudged_golden_form_is_rejected():
     for d in range(3, 7):
         st = golden_form_setting(d, -0.5 / (d - 1), rng.uniform(0.0, 2 * np.pi, d))
         assert detect(st).outcome == "found"
-        k = int(rng.integers(len(st.overlaps)))
-        nudged = [(i, j, s + 1e-5 if n == k else s) for n, (i, j, s) in enumerate(st.overlaps)]
+        pairs = [(i + 1, j + 1, st.gram[i, j]) for i in range(d) for j in range(i + 1, d)]
+        k = int(rng.integers(len(pairs)))
+        nudged = [(i, j, s + 1e-5 if n == k else s) for n, (i, j, s) in enumerate(pairs)]
         rep = detect(build_setting(d, nudged))
         assert rep.outcome == "none"
         assert not rep.inconclusive

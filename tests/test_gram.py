@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from supergram.gram import (
+    GramSetting,
     build_setting,
     eigensystem,
     embedding,
@@ -53,6 +56,34 @@ def test_build_rejects_bad_input():
             build_setting(2, [(1, 2, bad)])
 
 
+def test_gram_setting_is_its_gram_matrix():
+    assert [f.name for f in fields(GramSetting) if f.init] == ["gram"]
+    st = GramSetting([[1.0, 0.5], [0.5, 1.0]])
+    assert st.d == 2 and not st.gram.flags.writeable
+    assert setting_to_json(st) == {"d": 2, "overlaps": [{"i": 1, "j": 2, "re": 0.5, "im": 0.0}]}
+    # within ZERO_TOL: the upper triangle is kept, mirrored, on an exact unit diagonal
+    st = GramSetting([[1 + 1e-13, 0.3 + 0.1j], [0.3 - 0.1j + 1e-13, 1 - 1e-13]])
+    assert np.array_equal(st.gram, [[1, 0.3 + 0.1j], [0.3 - 0.1j, 1]])
+
+
+@pytest.mark.parametrize("G, match", [
+    ([[1, 2], [0, 1]], r"\|s_12\| = 2"),
+    ([[1, 0, 0], [0, 1, 1.5j], [0, -1.5j, 1]], r"\|s_23\| = 1.5"),
+    ([[1, 0.1], [0.1, 1], [0, 0]], "square"),
+    ([[1.0]], "square"),
+    ([1.0, 0.0], "square"),
+    ([[1, 0.5], [0.4, 1]], "Hermitian"),
+    ([[1, 0.5], [0.5j, 1]], "Hermitian"),
+    ([[1, 0], [0, 1.1]], "diagonal"),
+    ([[1, np.nan], [np.nan, 1]], r"\|s_12\| = nan"),
+    ([[1, 0], [np.inf, 1]], "Hermitian"),
+    ([[np.nan, 0], [0, 1]], "diagonal"),
+])
+def test_gram_setting_rejects_invalid_matrices(G, match):
+    with pytest.raises(ValueError, match=match):
+        GramSetting(G)
+
+
 def test_validate_d3_equal_positive():
     st = build_setting(3, [(1, 2, 0.6), (1, 3, 0.6), (2, 3, 0.6)])
     rep = validate(st)
@@ -60,9 +91,7 @@ def test_validate_d3_equal_positive():
     # spectrum {1 + 2 s, 1 - s, 1 - s} at s = 0.6
     assert rep.min_eigenvalue == pytest.approx(0.4, abs=1e-12)
     assert rep.condition_number == pytest.approx(5.5, abs=1e-12)
-    assert set(rep.to_json()) == {
-        "hermitian", "unit_diagonal", "min_eigenvalue", "linearly_independent", "condition_number",
-    }
+    assert set(rep.to_json()) == {"min_eigenvalue", "linearly_independent", "condition_number"}
 
 
 def test_validate_d3_equal_boundary_is_dependent():
@@ -223,6 +252,34 @@ def test_fix_phase_conventions():
     assert w[1].real > 0 and abs(w[1].imag) < 1e-15
     assert np.allclose(np.abs(w), np.abs(v))
     assert np.array_equal(fix_phase(np.zeros(3)), np.zeros(3))
+
+
+def test_setting_json_lists_nonzero_pairs_row_major():
+    st = build_setting(4, [(3, 4, 0.1j), (1, 3, -0.2), (1, 2, 0.0)])
+    assert [(e["i"], e["j"]) for e in setting_to_json(st)["overlaps"]] == [(1, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("obj", [
+    {"d": None},
+    {"d": [3]},
+    {"d": float("inf")},
+    {"d": 2.5},
+    {"d": "3"},
+    {"d": 3, "overlaps": 5},
+    {"d": 3, "overlaps": None},
+    {"d": 3, "overlaps": {"i": 1, "j": 2}},
+    {"d": 3, "overlaps": [{"i": 1.5, "j": 2}]},
+    {"d": 3, "overlaps": [{"i": 1, "j": 2.5}]},
+    {"d": 3, "overlaps": [{"i": 1, "j": 2, "re": 10**400}]},
+])
+def test_setting_json_rejects_malformed_fields(obj):
+    with pytest.raises(ValueError):
+        setting_from_json(obj)
+
+
+def test_setting_json_accepts_integral_floats():
+    st = setting_from_json({"d": 3.0, "overlaps": [{"i": 1.0, "j": 3, "re": 0.2}]})
+    assert st.d == 3 and st.overlap(1, 3) == 0.2
 
 
 def test_setting_json_round_trip():

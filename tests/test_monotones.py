@@ -375,3 +375,12 @@ def test_monotones_never_increase_under_free_maps():
         re_in = rel_entropy_superposition(rho_in)
         re_out = rel_entropy_superposition(rho_out)
         assert re_out <= re_in + 1e-8
+
+
+def test_monotone_report_refuses_a_dependent_setting():
+    # lambda_min ~ 1e-13: the embedding still factors, but the basis counts
+    # as dependent, as for validate and detect
+    st = build_setting(2, [(1, 2, -0.9999999999999)])
+    rho = density_pure(normalize(np.array([1.0, 0.0]), st))
+    with pytest.raises(ValueError, match="dependent basis"):
+        monotone_report(rho)

@@ -107,7 +107,7 @@ def test_value_types_copy_their_input():
     mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
     rho = DensityOperator(mat[:2, :2], st)
     gram = np.eye(2, dtype=complex)
-    setting = GramSetting(d=2, overlaps=(), gram=gram)
+    setting = GramSetting(gram)
     kraus = np.eye(2, dtype=complex)
     op = FreeKraus(kraus)
     evals, evecs = np.array([1.0, 1.0]), np.eye(2, dtype=complex)
@@ -256,3 +256,13 @@ def test_random_setting_rejects_min_eigenvalue_of_one():
 def test_random_setting_rejects_min_gap_of_one_over_d_minus_1():
     with pytest.raises(ValueError):
         random_setting(4, None, min_gap=1.0 / 3)
+
+
+def test_wrong_coefficient_count_is_refused_before_arithmetic():
+    st = build_setting(2, [(1, 2, 0.6)])
+    with pytest.raises(ValueError, match="expected 2 coefficients, got shape"):
+        normalize(np.array([1.0, 0.0, 0.0]), st)
+    for normalized in (False, True):
+        obj = {"coeffs": [{"re": 1.0}], "normalized": normalized}
+        with pytest.raises(ValueError, match="^expected 2 coefficients, got 1$"):
+            state_from_json(obj, st)
