@@ -50,6 +50,7 @@ ANNIHILATION_TOL = 1e-10  # |R psi| of the S1 residual on the source state
 S2_EIG_TOL = 1e-13  # residual eigenpairs above this become S2 operators (sets n_s2)
 FREE_ENTRY_TOL = 1e-10  # a free Kraus column has one entry above this at most
 GRAD_TOL = 1e-8  # projected gradient norm of a converged relative-entropy solve
+GAP_TOL = 1e-10  # duality gap, value minus minimum at most, of a converged solve
 BOUND_L1_TOL = 1e-9  # slack of the l1 bound, for "within" and "attained"
 BOUND_REL_ENTROPY_TOL = 1e-5  # slack of the relative-entropy bound, likewise
 SCAN_EDGE_TOL = 1e-9  # scan grid points this close to an open end are clipped
@@ -272,18 +273,38 @@ def setting_to_json(setting: GramSetting) -> dict:
     }
 
 
+# largest d a setting file may ask for: beyond it the d x d Gram matrix,
+# its eigensolve and the d^2 overlap loop stop being a reasonable request
+MAX_JSON_DIM = 1000
+
+
+def _json_number(x) -> float:
+    """``x`` as a float if it is a JSON number; strings, booleans and
+    other values raise ``ValueError``, as non-integral indices do."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(f"number out of range: {x!r}") from exc
+
+
 def setting_from_json(obj: dict) -> GramSetting:
-    """Inverse of ``setting_to_json``; omitted pairs are zero."""
+    """Inverse of ``setting_to_json``; omitted pairs are zero.  ``re`` and
+    ``im`` must be JSON numbers, and ``d`` at most ``MAX_JSON_DIM``."""
     if not isinstance(obj, dict) or "d" not in obj:
         raise ValueError("setting JSON must be an object with a 'd' field")
+    d = _integer(obj["d"])
+    if d is not None and d > MAX_JSON_DIM:
+        raise ValueError(f"dimension must be at most {MAX_JSON_DIM}, got {d}")
     entries = obj.get("overlaps", [])
     if not isinstance(entries, list):
         raise ValueError(f"'overlaps' must be a list, got {entries!r}")
     pairs = []
     for entry in entries:
         try:
-            s = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            s = complex(_json_number(entry.get("re", 0.0)), _json_number(entry.get("im", 0.0)))
             pairs.append((entry["i"], entry["j"], s))
-        except (AttributeError, TypeError, KeyError, ValueError, OverflowError) as exc:
+        except (AttributeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed overlap entry: {entry!r}") from exc
     return build_setting(obj["d"], pairs)

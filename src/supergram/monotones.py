@@ -2,11 +2,15 @@
 
 The l1 monotone sums the off-diagonal moduli of the basis-bilinear
 coefficient matrix; the relative-entropy monotone minimizes S(rho || sigma)
-over free states sigma = sum_k q_k |c_k><c_k| on the probability simplex
-by the Blahut-Arimoto fixed-point update q_k <- q_k g_k, with g the
-negative gradient, shortened to q_k g_k^tau with tau < 1 where the full
-update would raise the objective.  Golden states saturate the setting's
-bounds (d - 1) / lambda_min and ln(d / lambda_min).
+over free states sigma = sum_k q_k |c_k><c_k| on the probability simplex.
+That solve starts from the orthonormal closed form q = diag(C) / tr C,
+takes damped Newton steps on the free face of the simplex (Hessian from
+second divided differences of ln), falls back to the Blahut-Arimoto step
+q_k <- q_k g_k^tau (g the negative gradient) where a Newton step is
+undefined or refused, and stops once the Frank-Wolfe duality gap, which
+bounds the value's excess over the minimum, is at most ``GAP_TOL``.
+Golden states saturate the setting's bounds (d - 1) / lambda_min and
+ln(d / lambda_min).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GRAD_TOL, MIN_EIG_TOL
+from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GAP_TOL, GRAD_TOL, MIN_EIG_TOL
 from .gram import GramSetting, eigensystem, embedding
 from .states import DensityOperator, SuperpositionState
 
@@ -41,6 +45,9 @@ _MAX_ITER = 20000
 # above this share of its previous norm is slow, and omega doubles
 _SLOW_RATE = 0.5
 _MAX_OMEGA = 1e3
+# above this dimension a Newton step's O(d^4) Hessian and its d^3 tables
+# cost more than the fixed-point steps it saves, and only those are taken
+_NEWTON_MAX_DIM = 16
 
 
 def _embedded(rho) -> tuple[GramSetting, np.ndarray, np.ndarray]:
@@ -79,16 +86,85 @@ def _entropy_term(rho: np.ndarray) -> float:
 
 def _loewner_log(w: np.ndarray) -> np.ndarray:
     """Divided-difference table of ln on the (floored) eigenvalues:
-    L_ij = (ln w_i - ln w_j) / (w_i - w_j), with 1/w on coincidences."""
+    L_ij = (ln w_i - ln w_j) / (w_i - w_j), with 1/w on coincidences.
+    Taken as log1p(x) / x / min(w_i, w_j), x = |w_i - w_j| / min(w_i, w_j),
+    which keeps full relative accuracy however close the pair."""
     w = np.maximum(w, _Q_FLOOR * 1e-6)
-    lw = np.log(w)
-    diff = np.subtract.outer(w, w)
-    small = np.abs(diff) <= 1e-12 * np.maximum.outer(w, w)
-    diff[small] = 1.0
-    L = np.subtract.outer(lw, lw)
-    L /= diff
-    L[small] = 2.0 / np.add.outer(w, w)[small]
+    lo = np.minimum.outer(w, w)
+    x = np.abs(np.subtract.outer(w, w)) / lo
+    L = np.ones_like(x)
+    np.divide(np.log1p(x), x, out=L, where=x > 0.0)
+    L /= lo
     return L
+
+
+def _sorted_triples(d: int) -> tuple[np.ndarray, ...]:
+    """For every index triple (i, m, j) of a d x d x d table, flattened: its
+    sorted members lo <= mid <= hi, and the flat positions of (lo, mid)
+    and (mid, hi) in a d x d table."""
+    r = np.arange(d)
+    i, m, j = r[:, None, None], r[:, None], r
+    lo = np.minimum(np.minimum(i, m), j).ravel()
+    hi = np.maximum(np.maximum(i, m), j).ravel()
+    mid = (i + m + j).ravel() - lo - hi
+    return lo, mid, hi, lo * d + mid, mid * d + hi
+
+
+def _loewner_log2(w: np.ndarray, L: np.ndarray, triples) -> np.ndarray:
+    """Second divided differences of ln on ascending eigenvalues w, from
+    their first-order table L = ``_loewner_log(w)`` and
+    ``_sorted_triples(len(w))``: T[i, m, j] = (L[lo, mid] - L[mid, hi]) /
+    (w_lo - w_hi) over the sorted index triple, and ln''/2 = -1/(2 u^2) at
+    the triple's mean u where w_hi and w_lo agree to within 1e-5 relative;
+    either way the relative error is below about 1e-10."""
+    lo, mid, hi, lo_mid, mid_hi = triples
+    w = np.maximum(w, _Q_FLOOR * 1e-6)
+    w_lo, w_hi = w[lo], w[hi]
+    span = w_lo - w_hi
+    close = -span <= 1e-5 * w_hi
+    T = -4.5 / (w_lo + w[mid] + w_hi) ** 2
+    np.divide(L.ravel()[lo_mid] - L.ravel()[mid_hi], span, out=T, where=~close)
+    d = len(w)
+    return T.reshape(d, d, d)
+
+
+def _hessian(w, A, W, L, triples) -> np.ndarray:
+    """Hessian of the objective in q from the eigensystem of sigma:
+    -2 Re K with K_kl = sum_ijm A_ji T_imj W_ik conj(W_mk) W_ml conj(W_jl),
+    T the second divided differences of ln (Daleckii-Krein one order up),
+    summed over m as one batch of d products W^T M_m conj(W)."""
+    M = A.T[:, None, :] * _loewner_log2(w, L, triples)  # M[i, m, j] = A_ji T_imj
+    B = W.T @ M.transpose(1, 0, 2) @ W.conj()
+    K = (W.conj()[:, :, None] * W[:, None, :] * B).sum(axis=0)
+    return -2.0 * K.real
+
+
+def _newton_step(q: np.ndarray, grad: np.ndarray, H: np.ndarray):
+    """Newton step on the free face {q_k > 10 _Q_FLOOR} of the simplex, from
+    the bordered KKT system [H_FF 1; 1^T 0]; None when the face has fewer
+    than two coordinates, the system is singular, or the step does not
+    descend."""
+    free = np.flatnonzero(q > _Q_FLOOR * 10.0)
+    n = len(free)
+    if n < 2:
+        return None
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = H[free[:, None], free]
+    kkt[n, n] = 0.0
+    # a step that sums to zero sees the gradient only up to a constant;
+    # centring it keeps its slope, of order |grad - mean|^2, above rounding
+    grad = grad - q @ grad
+    rhs = np.zeros(n + 1)
+    rhs[:n] = -grad[free]
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    step = np.zeros_like(q)
+    step[free] = sol[:n]
+    if not (np.isfinite(step).all() and grad @ step < 0.0):
+        return None
+    return step
 
 
 @dataclass(frozen=True)
@@ -96,16 +172,19 @@ class RelEntropyInfo:
     """Diagnostics of one relative-entropy solve.
 
     ``value`` is the monotone and ``q`` the optimal weights on the simplex.
-    ``iterations`` counts accepted steps, full or shortened.
+    ``iterations`` counts accepted steps, Newton or fixed-point alike.
     ``gradient_norm`` is the simplex KKT residual at ``q`` (see
-    ``_projected_gradient_norm``), and ``converged`` says whether it fell
-    to ``GRAD_TOL``.
+    ``_projected_gradient_norm``).  ``gap`` is the Frank-Wolfe duality gap
+    max_k g_k - sum_k q_k g_k, g the negative gradient: by convexity the
+    value exceeds the true minimum by at most ``gap``.  ``converged`` says
+    whether the residual fell to ``GRAD_TOL`` and the gap to ``GAP_TOL``.
     """
 
     value: float
     q: np.ndarray
     iterations: int
     gradient_norm: float
+    gap: float
     converged: bool
 
 
@@ -115,20 +194,38 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     The objective tr(rho ln rho) - tr(rho ln sigma(q)) is convex in q, and
     sigma(q) = V diag(q) V^dag in the embedding frame.  Its negative
     gradient g_k = tr(rho Dln_sigma[|c_k><c_k|]) satisfies
-    sum_k q_k g_k = tr rho = 1, so the fixed-point update q_k <- q_k g_k
-    stays on the simplex without a step size; its fixed points are the
-    optimality (KKT) points, and in the orthonormal limit V = I it lands
-    on q = diag(rho), the closed form S(diag rho) - S(rho), in one step.
-    Each iteration takes the step q_k <- q_k g_k^tau, floored at 1e-12 and
-    renormalized, with the first tau of omega, 1, 1/2, 1/4, ... (at most
-    60 tries) that does not raise the objective.  A short enough step
-    always descends: g >= 0, because ln is operator monotone, and along
-    q g^tau the objective's slope at tau = 0 is -Cov_q(g, ln g) <= 0,
-    zero only at a fixed point.  While the iteration contracts slowly
-    (near linear dependence) omega doubles up to 1e3 after each full
-    step, and it is reset to 1 when a shorter step is taken.  The
-    iteration stops, converged, once the simplex-projected gradient norm
-    falls to ``GRAD_TOL``, and gives up after 20000 iterations.
+    sum_k q_k g_k = tr rho = 1.
+
+    Start: q = diag(C) / tr C, C = V^-1 rho V^-dag the coefficient matrix,
+    floored at 1e-12 and renormalized.  In the orthonormal limit V = I
+    this is the optimum, the closed form S(diag rho) - S(rho), and the
+    solve takes no step.
+
+    Step: a damped Newton step on the free face {q_k > 1e-11}, for d up
+    to 16, with the Hessian from second divided differences of ln
+    (``_hessian``) and the bordered KKT system of the face.  It is cut to 0.99 of the distance
+    to the simplex boundary and halved, at most three times, until it
+    does not raise the objective.
+
+    Fallback: where the Newton step is undefined, does not descend or is
+    not accepted, or a floored weight should grow (its gradient is below
+    the free face's multiplier), the fixed-point step q_k <- q_k g_k^tau
+    is taken, floored and renormalized, with the first tau of omega, 1,
+    1/2, 1/4, ... (at most 60 tries) that does not raise the objective.
+    A short enough step always descends: g >= 0, because ln is operator
+    monotone, and along q g^tau the objective's slope at tau = 0 is
+    -Cov_q(g, ln g) <= 0, zero only at a fixed point.  While this
+    iteration contracts slowly (near linear dependence) omega doubles up
+    to 1e3 after each full step, and it is reset to 1 when a shorter step
+    is taken.
+
+    Stop: converged once the simplex-projected gradient norm is at most
+    ``GRAD_TOL`` and the duality gap max_k g_k - sum_k q_k g_k, which
+    bounds the value's excess over the minimum, at most ``GAP_TOL``.
+    Near linear dependence rounding keeps the gap above about
+    eps / lambda_min; a step that moves q by less than 1e-15 without
+    lowering the objective then ends the solve unconverged, and so do
+    20000 iterations.
 
     With ``full_output`` the optimizer diagnostics are returned alongside
     the value.
@@ -141,48 +238,71 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     def objective_grad(q):
         # one Hermitian eigendecomposition of sigma gives the value
         # const - sum_i A_ii ln w_i and, through the Daleckii-Krein table L,
-        # the gradient -Re sum_ij W_ik (A^T o L)_ij conj(W_jk)
+        # the gradient -Re sum_ij W_ik (A^T o L)_ij conj(W_jk); the
+        # eigensystem is kept for the Hessian
         w, U = np.linalg.eigh((V * q) @ Vh)
         w = np.maximum(w, _LOG_FLOOR)
         Uh = U.conj().T
         A = Uh @ rho_emb @ U
         val = const - float(A.diagonal().real @ np.log(w))
         W = Uh @ V
-        grad = -(W * ((A.T * _loewner_log(w)) @ W.conj())).real.sum(axis=0)
-        return val, grad
+        L = _loewner_log(w)
+        grad = -(W * ((A.T * L) @ W.conj())).real.sum(axis=0)
+        return val, grad, (w, A, W, L)
 
     def trial(x):
         x = np.maximum(x, _Q_FLOOR)
         x /= x.sum()
         return (x, *objective_grad(x))
 
-    q = np.full(d, 1.0 / d)
-    val, grad = objective_grad(q)
+    triples = _sorted_triples(d) if d <= _NEWTON_MAX_DIM else None
+
+    def newton(q, val, grad, eig):
+        # the damped Newton step's accepted trial point, or None
+        step = _newton_step(q, grad, _hessian(*eig, triples))
+        if step is None:
+            return None
+        shrink = step < 0.0
+        alpha = min(1.0, 0.99 * float(np.min(q[shrink] / -step[shrink])))
+        for _ in range(4):
+            cand = trial(q + alpha * step)
+            if cand[1] <= val + 1e-15:
+                return cand
+            alpha /= 2.0
+        return None
+
+    Vinv = np.linalg.inv(V)
+    q, val, grad, eig = trial((Vinv @ rho_emb @ Vinv.conj().T).diagonal().real.copy())
     iterations = 0
-    pg_norm = _projected_gradient_norm(q, grad)
+    pg_norm, gap = _projected_gradient_norm(q, grad), _duality_gap(q, grad)
     omega = 1.0
-    while pg_norm > GRAD_TOL and iterations < _MAX_ITER:
-        # step q_k <- q_k g_k^tau with g = -grad, in logs so that a large
-        # tau cannot overflow; ln 0 = -inf gives a zero weight
-        g = -grad
-        log_g = np.log(g, out=np.full(d, -np.inf), where=g > 0.0)
-        log_g -= log_g.max()
-        # tau = omega, then the plain step tau = 1, then halved: the slope
-        # at tau = 0 is -Cov_q(g, ln g) <= 0, so a short enough step descends
-        tau = omega
-        for _ in range(60):
-            cand, cand_val, cand_grad = trial(q * np.exp(tau * log_g))
-            if cand_val <= val + 1e-15:
+    while (pg_norm > GRAD_TOL or gap > GAP_TOL) and iterations < _MAX_ITER:
+        cand = None
+        if triples is not None and not _floor_pushes_in(q, grad):
+            cand = newton(q, val, grad, eig)
+        took_newton = cand is not None
+        if not took_newton:
+            # step q_k <- q_k g_k^tau with g = -grad, in logs so that a
+            # large tau cannot overflow; ln 0 = -inf gives a zero weight
+            g = -grad
+            log_g = np.log(g, out=np.full(d, -np.inf), where=g > 0.0)
+            log_g -= log_g.max()
+            # tau = omega, then the plain step tau = 1, then halved
+            tau = omega
+            for _ in range(60):
+                cand = trial(q * np.exp(tau * log_g))
+                if cand[1] <= val + 1e-15:
+                    break
+                tau = min(tau / 2.0, 1.0)
+            else:
                 break
-            tau = min(tau / 2.0, 1.0)
-        else:
-            break
-        if tau < omega:
-            omega = 1.0
-        stalled = cand_val > val - 1e-18 and float(np.linalg.norm(cand - q)) < 1e-15
-        q, val, grad = cand, cand_val, cand_grad
+            if tau < omega:
+                omega = 1.0
+        stalled = cand[1] > val - 1e-18 and float(np.linalg.norm(cand[0] - q)) < 1e-15
+        q, val, grad, eig = cand
         pg_prev, pg_norm = pg_norm, _projected_gradient_norm(q, grad)
-        if tau >= 1.0 and pg_norm > _SLOW_RATE * pg_prev:
+        gap = _duality_gap(q, grad)
+        if not took_newton and tau >= 1.0 and pg_norm > _SLOW_RATE * pg_prev:
             omega = min(2.0 * omega, _MAX_OMEGA)
         iterations += 1
         if stalled:
@@ -194,9 +314,27 @@ def rel_entropy_superposition(rho, full_output: bool = False):
         q=q,
         iterations=iterations,
         gradient_norm=pg_norm,
-        converged=bool(pg_norm <= GRAD_TOL),
+        gap=gap,
+        converged=bool(pg_norm <= GRAD_TOL and gap <= GAP_TOL),
     )
     return (value, info) if full_output else value
+
+
+def _duality_gap(q: np.ndarray, grad: np.ndarray) -> float:
+    """Frank-Wolfe gap max_k g_k - sum_k q_k g_k, g = -grad: by convexity
+    it bounds the objective's excess over its minimum on the simplex."""
+    return float(q @ grad - grad.min())
+
+
+def _floor_pushes_in(q: np.ndarray, grad: np.ndarray) -> bool:
+    """Whether some floored weight violates the simplex KKT condition: its
+    gradient lies below the multiplier of the free face, so the objective
+    falls as it grows, which a step on the face cannot do."""
+    active = q <= _Q_FLOOR * 10.0
+    if not active.any() or active.all():
+        return False
+    mu = float(q[~active] @ grad[~active] / q[~active].sum())
+    return bool(grad[active].min() < mu)
 
 
 def _projected_gradient_norm(q: np.ndarray, grad: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import DENSITY_TOL, NORM_TOL, NORMALIZED_INPUT_TOL, ZERO_TOL
-from .gram import GramSetting, embedding, fix_phase, same_setting
+from .gram import GramSetting, _json_number, embedding, fix_phase, same_setting
 
 __all__ = [
     "DensityOperator",
@@ -156,15 +156,16 @@ def state_to_json(psi: SuperpositionState) -> dict:
 def state_from_json(obj: dict, setting: GramSetting) -> SuperpositionState:
     """Load a state from {"coeffs": [{"re", "im"}, ...]}.
 
-    Coefficients are normalized on load unless the object asserts
-    "normalized": true, in which case normalization is verified instead
-    (within ``NORMALIZED_INPUT_TOL``) and the coefficients are kept as given.
+    ``re`` and ``im`` must be JSON numbers.  Coefficients are normalized on
+    load unless the object asserts "normalized": true, in which case
+    normalization is verified instead (within ``NORMALIZED_INPUT_TOL``) and
+    the coefficients are kept as given.
     """
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("state JSON must be an object with a 'coeffs' field")
     try:
         v = np.array(
-            [complex(float(c.get("re", 0.0)), float(c.get("im", 0.0))) for c in obj["coeffs"]],
+            [complex(_json_number(c.get("re", 0.0)), _json_number(c.get("im", 0.0))) for c in obj["coeffs"]],
             dtype=complex,
         )
     except (TypeError, AttributeError, ValueError) as exc:

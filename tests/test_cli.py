@@ -416,3 +416,30 @@ def test_monotones_wrong_coefficient_count_is_input_error(tmp_path, capsys):
     state.write_text(json.dumps({"coeffs": [{"re": 1.0}]}))
     assert main(["monotones", spath, str(state)]) == 2
     assert capsys.readouterr().err == "error: expected 2 coefficients, got 1\n"
+
+
+@pytest.mark.parametrize("d", [1001, 10**6])
+def test_setting_dimension_above_the_bound_is_input_error(tmp_path, capsys, d):
+    # refused before any d x d matrix is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": d}))
+    for command in ("validate", "golden"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dimension must be at most 1000, got {d}\n"
+
+
+@pytest.mark.parametrize("value", ['"0.5"', "true", "false", '"nan"', "1" + "0" * 400])
+def test_json_values_must_be_numbers_in_float_range(tmp_path, capsys, value):
+    # JSON values must be numbers, as JSON indices must be integers; an
+    # integer beyond float range is refused too, not an OverflowError
+    bad_setting = tmp_path / "bad.json"
+    bad_setting.write_text('{"d": 2, "overlaps": [{"i": 1, "j": 2, "re": %s}]}' % value)
+    spath = write_setting(tmp_path, "set.json", 2, [(1, 2, 0.6)])
+    bad_state = tmp_path / "state.json"
+    bad_state.write_text('{"coeffs": [{"re": 1.0, "im": %s}, {"re": 1}]}' % value)
+    for args in (["validate", str(bad_setting)], ["monotones", spath, str(bad_state)]):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")

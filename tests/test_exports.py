@@ -52,6 +52,7 @@ def test_every_tolerance_is_used():
         for target in node.targets
         if isinstance(target, ast.Name) and target.id.endswith("_TOL")
     }
+    assert {"GRAD_TOL", "GAP_TOL"} <= tols  # the solver's two stop tolerances
     used = set()
     for path in src.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -2,18 +2,20 @@
 
 The loaders take arbitrary JSON, so any JSON-like value must either load
 or raise ``ValueError``, which the CLI turns into exit 2.  Dimensions are
-drawn from small integers and from non-integral values only: a large
-integral ``d`` is a valid request for a d x d matrix and its eigensolve.
+drawn from small integers, from non-integral values and from integers
+above ``MAX_JSON_DIM``: an integral ``d`` up to that bound is a valid
+request for a d x d matrix and its eigensolve.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from supergram.golden import golden_setting
-from supergram.gram import GramSetting, build_setting, setting_from_json, setting_to_json
+from supergram.gram import MAX_JSON_DIM, GramSetting, build_setting, setting_from_json, setting_to_json
 from supergram.sampling import random_setting
 from supergram.states import state_from_json
 
@@ -35,7 +37,8 @@ json_like = st.recursive(
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=4),
     max_leaves=10,
 )
-dims = st.one_of(st.integers(-1, 5), st.sampled_from([2.5, 3.0, float("inf"), float("nan"), None, "3", [3]]))
+dims = st.one_of(st.integers(-1, 5),
+                 st.sampled_from([2.5, 3.0, float("inf"), float("nan"), None, "3", [3], MAX_JSON_DIM + 1, 10**6]))
 part = st.floats(-0.6, 0.6)
 entries = st.one_of(
     json_like,
@@ -86,6 +89,16 @@ def test_state_json_loads_or_raises_value_error(obj, setting):
     except ValueError:
         return
     assert psi.coeffs.shape == (setting.d,)
+
+
+@given(st.one_of(st.booleans(), st.text(alphabet="0.5e-", max_size=4)), st.sampled_from(["re", "im"]),
+       st.sampled_from(SETTINGS))
+def test_non_number_values_raise_value_error(value, key, setting):
+    # numeric strings such as "0.5" included: values are as strict as indices
+    with pytest.raises(ValueError):
+        setting_from_json({"d": 2, "overlaps": [{"i": 1, "j": 2, key: value}]})
+    with pytest.raises(ValueError):
+        state_from_json({"coeffs": [{"re": 1.0, key: value}] * setting.d}, setting)
 
 
 @st.composite
