@@ -13,7 +13,6 @@ from supergram import (
     eigensystem,
     embedding,
     rayleigh,
-    reorient_embedding,
     validate,
 )
 
@@ -43,7 +42,7 @@ print("bounds: [%.4f, %.4f]" % (es.lambda_min, es.lambda_max))
 
 # --- an orthonormal frame for the basis ------------------------------------
 # V is upper triangular with V^dag V = G; column k holds the coordinates of
-# basis state k.  Any unitary reorientation leaves the Gram matrix intact.
+# basis state k.  Any unitary reorientation U V leaves the Gram matrix intact.
 st2 = build_setting(2, [(1, 2, -0.8)])
 V = embedding(st2)
 print("\nembedding V:\n", V.round(6))
@@ -51,5 +50,5 @@ print("V^dag V - G:", np.linalg.norm(V.conj().T @ V - st2.gram))
 
 theta = 0.7
 U = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-W = reorient_embedding(V, U)
+W = U @ V
 print("after reorientation, Gram unchanged:", np.linalg.norm(W.conj().T @ W - st2.gram))

@@ -37,9 +37,10 @@ print("\nfamily {s, is, -is} at s=0.25: lambda_min=%.2f, state=%s"
 
 # --- the equal-overlap counterexample at s = 1/2 ----------------------------
 # The minimal eigenvalue is doubly degenerate and the eigenspace even
-# contains uniform-tilde vectors, but none supports a trace-preserving
-# free channel.  The closed-form test decides; the opt-in eigenspace
-# search reports how far every candidate falls short.
+# contains uniform-tilde vectors, but the free channels built from them
+# reach only part of the state space, not every target.  The closed-form
+# test decides; the opt-in eigenspace search (it needs scipy) reports how
+# far every candidate falls short.
 rep = detect(build_setting(3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)]), n_starts=N_STARTS)
 print("\nequal s=1/2:", rep.outcome,
       "best deviation %.4f over %d starts" % (rep.best_deviation, rep.n_starts))

@@ -9,6 +9,8 @@ operator of permutation sigma has entry sqrt(1/d!) r[sigma(j), j] at
 PSD margin of the leftover, and how exactly the leftover kills psi.
 """
 
+import math
+
 import numpy as np
 
 from supergram import (
@@ -28,10 +30,11 @@ psi = detect(st).candidate.state
 phi = normalize(np.array([1.0, 0.0]), st)  # target: the first basis state
 
 kset = build_kraus_set(psi, phi)
+weight = 1.0 / math.factorial(st.d)
 print("S1 operators (%d), probability 1/d! = %.2f each, from the ratios r:"
-      % (kset.certificate.n_s1, kset.probability))
+      % (kset.certificate.n_s1, weight))
 print(kset.ratios.round(4))
-identity_op = np.sqrt(kset.probability) * np.diag(np.diag(kset.ratios))
+identity_op = np.sqrt(weight) * np.diag(np.diag(kset.ratios))
 print("identity-permutation operator sqrt(1/d!) diag(r):")
 print(identity_op.round(4), "free:", is_free_kraus(identity_op))
 print("S2 operators (%d):" % len(kset.s2))

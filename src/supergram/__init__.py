@@ -16,7 +16,6 @@ from .gram import (
     embedding,
     fix_phase,
     rayleigh,
-    reorient_embedding,
     setting_from_json,
     setting_to_json,
     validate,

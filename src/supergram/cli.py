@@ -66,7 +66,7 @@ def cmd_golden(args) -> int:
     if args.verify < 0:
         raise ValueError(f"--verify must be non-negative, got {args.verify}")
     setting = _load_setting(args.path)
-    report = golden.detect(setting, n_starts=golden.N_STARTS, accept_tol=args.tol)
+    report = golden.detect(setting, accept_tol=args.tol)
     payload = golden.report_to_json(report)
     if report.outcome == "found" and args.verify > 0:
         rng = np.random.default_rng(args.seed)
@@ -147,8 +147,8 @@ def cmd_scan(args) -> int:
     # grid points are rounded to 12 decimals: a finer step repeats points or stalls
     if args.step < 1e-12:
         raise ValueError(f"step must be at least 1e-12, got {args.step}")
-    if args.family == "d-equal-real" and args.d < 2:
-        raise ValueError(f"--d must be at least 2, got {args.d}")
+    if args.family == "d-equal-real" and not 2 <= args.d <= gram.MAX_JSON_DIM:
+        raise ValueError(f"--d must be from 2 to {gram.MAX_JSON_DIM}, got {args.d}")
     (lo, hi), setting_at, l1_closed_form = _FAMILIES[args.family](args)
 
     def s_at(k: int) -> float:

@@ -199,14 +199,14 @@ class KrausSet:
     ``target`` with uniform branch probability 1/d!.
 
     The S1 family is held only as its ratio matrix r_ij = phi_i / psi_j:
-    the operator of permutation sigma has entry sqrt(probability)
-    r[sigma(j), j] at (sigma(j), j) and zeros elsewhere.
+    the operator of permutation sigma has entry sqrt(1/d!) r[sigma(j), j]
+    at (sigma(j), j) and zeros elsewhere.  The weight is not stored: d!
+    exceeds the float range beyond d = 170.
     """
 
     setting: GramSetting
     ratios: np.ndarray
     s2: tuple
-    probability: float
     source: SuperpositionState
     target: SuperpositionState
     certificate: ChannelCertificate
@@ -249,7 +249,6 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
         setting=setting,
         ratios=r,
         s2=tuple(s2),
-        probability=1.0 / math.factorial(setting.d),
         source=psi,
         target=phi,
         certificate=cert,

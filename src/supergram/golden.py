@@ -27,13 +27,15 @@ to the fitted form is within tolerance.
 The eigenspace itself does not decide.  At the equal-overlap setting
 s = 1/2 in dimension 3, complex combinations of the degenerate minimal
 eigenspace such as (1, w, w^2) with w = exp(2 pi i / 3) do satisfy the
-uniform-tilde condition, yet no free channel built from them is trace
-preserving, and the setting admits no golden state.
+uniform-tilde condition, yet the free channels built from them reach only
+the targets phi with sum |phi_i|^2 <= 1, not every target, and the
+setting admits no golden state.
 
 On request (``n_starts > 0``) a multistart search of a degenerate minimal
 eigenspace reports how far the best eigenspace vector remains from a
 certified golden state.  It is a diagnostic only and never changes the
-verdict; scipy is imported when it first runs.
+verdict.  It needs scipy, which is not a dependency of the package (it
+comes with the ``test`` extra) and is imported when the search first runs.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ __all__ = [
     "embedding",
     "fix_phase",
     "rayleigh",
-    "reorient_embedding",
     "same_setting",
     "setting_from_json",
     "setting_to_json",
@@ -36,7 +35,7 @@ __all__ = [
 ZERO_TOL = 1e-12  # a modulus, norm, asymmetry or negative weight counts as zero
 MIN_EIG_TOL = 1e-12  # Gram eigenvalues at or below count as linear dependence
 DEGENERACY_REL_TOL = 1e-9  # closer eigenvalues share a degeneracy group
-UNITARY_TOL = 1e-10  # |U^dag U - I| of a frame rotation or a d = 3 family frame
+UNITARY_TOL = 1e-10  # |U^dag U - I| of a d = 3 family frame
 EQUAL_MODULUS_TOL = 1e-9  # d = 3 family frame: first-column moduli are 1/sqrt(3)
 NORM_TOL = 1e-8  # a directly constructed state is normalized
 NORMALIZED_INPUT_TOL = 1e-10  # a state loaded as normalized is kept as given
@@ -249,16 +248,6 @@ def embedding(setting: GramSetting) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("setting is not positive definite (dependent basis)") from exc
     return L.conj().T
-
-
-def reorient_embedding(V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Rotate the orthonormal frame by a unitary U; the Gram matrix
-    (U V)^dag (U V) is unchanged."""
-    U = np.asarray(U, dtype=complex)
-    eye = np.eye(U.shape[0])
-    if not np.isfinite(U).all() or not np.linalg.norm(U.conj().T @ U - eye) <= UNITARY_TOL:
-        raise ValueError("frame rotation must be unitary")
-    return U @ np.asarray(V, dtype=complex)
 
 
 def setting_to_json(setting: GramSetting) -> dict:

@@ -80,20 +80,32 @@ def test_golden_verify_beyond_enumeration_limit(tmp_path, capsys):
     assert v["map_error"] <= 1e-10
 
 
-def test_golden_none_exit_code(tmp_path, capsys):
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make the opt-in eigenspace search fail if anything runs it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigenspace search ran")
+
+    monkeypatch.setattr(supergram.golden, "minimize", refuse)
+
+
+def test_golden_none_exit_code(tmp_path, capsys, no_search):
+    # the closed form decides and reports its fit distance: off-diagonal
+    # 0.5 against the fitted -0.5
     path = write_setting(tmp_path, "half.json", 3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
     assert main(["golden", path]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["outcome"] == "none"
-    assert out["best_deviation"] > 1e-3
+    assert out["best_deviation"] == pytest.approx(1.0, abs=1e-12)
+    assert out["n_starts"] == 0 and out["multiplicity"] == 2
 
 
 def test_golden_file_errors(tmp_path):
     assert main(["golden", str(tmp_path / "missing.json")]) == 2
 
 
-def test_golden_inconclusive_exit_code(tmp_path, capsys):
-    # nearly orthonormal equal overlaps: the degenerate search lands in the
+def test_golden_inconclusive_exit_code(tmp_path, capsys, no_search):
+    # nearly orthonormal equal overlaps: the fit distance 2e-7 lies in the
     # gray zone between acceptance and confident rejection
     path = write_setting(tmp_path, "gray.json", 3,
                          [(1, 2, 1e-7), (1, 3, 1e-7), (2, 3, 1e-7)])
@@ -103,7 +115,7 @@ def test_golden_inconclusive_exit_code(tmp_path, capsys):
     assert out["inconclusive"] is True
 
 
-def test_golden_close_to_dependence_exits_inconclusive(tmp_path, capsys):
+def test_golden_close_to_dependence_exits_inconclusive(tmp_path, capsys, no_search):
     path = write_setting(tmp_path, "near.json", 2, [(1, 2, -0.999999998)])
     assert main(["golden", path]) == 3
     out = json.loads(capsys.readouterr().out)
@@ -282,8 +294,14 @@ def test_negative_exponent_values_parse_when_separated(tmp_path):
     ["--family", "d2-real", "--from", "0", "--to", "0.5", "--step", "inf"],
     ["--family", "d-equal-real", "--d", "1", "--from", "-0.1", "--to", "0", "--step", "0.1"],
     ["--family", "d-equal-real", "--d", "0", "--from", "-0.1", "--to", "0", "--step", "0.1"],
+    ["--family", "d-equal-real", "--d", "1001", "--from", "-1e-3", "--to", "0", "--step", "1e-3"],
 ])
-def test_scan_rejects_out_of_range_flags(tmp_path, capsys, flags):
+def test_scan_rejects_out_of_range_flags(tmp_path, capsys, monkeypatch, flags):
+    # refused before any setting is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan built a setting from refused flags")
+
+    monkeypatch.setattr(supergram.gram, "build_setting", refuse)
     out = tmp_path / "x.csv"
     assert main(["scan", *flags, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -332,6 +350,80 @@ def test_python_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "s,is,-is" in proc.stdout
     assert json.loads(proc.stdout[proc.stdout.index("{"):])["pass"] is True
+
+
+# makes every later import of scipy fail as if it were not installed
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+# runs each argument list of argv[1] (JSON) through main and prints
+# [[exit code, stdout], ...]
+RUN_CLI = """
+import contextlib, io, json, sys
+from supergram.cli import main
+runs = []
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(args)
+    runs.append([rc, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    half = write_setting(tmp_path, "half.json", 3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
+    gray = write_setting(tmp_path, "gray.json", 3, [(1, 2, 1e-7), (1, 3, 1e-7), (2, 3, 1e-7)])
+    gold = write_setting(tmp_path, "gold.json", 3, [(1, 2, -0.3), (1, 3, -0.3), (2, 3, -0.3)])
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"coeffs": [{"re": 1.0}, {"re": 0.5, "im": 0.5}, {"re": -1.0}]}))
+
+    def commands(csv):
+        return [
+            ["validate", half],
+            ["golden", half],
+            ["golden", gray],
+            ["golden", gold, "--verify", "5"],
+            ["scan", "--family", "d3-equal", "--from=-0.2", "--to", "0.15", "--step", "0.05",
+             "--out", str(csv)],
+            ["table1"],
+            ["monotones", gold, str(state)],
+        ]
+
+    runs = {}
+    for mode, prelude in (("block", BLOCK_SCIPY), ("scipy", "")):
+        proc = run_python(prelude + RUN_CLI, json.dumps(commands(tmp_path / f"{mode}.csv")))
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert runs["block"] == runs["scipy"]
+    assert [rc for rc, _ in runs["block"]] == [0, 1, 3, 0, 0, 0, 0]
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "scipy.csv").read_bytes()
+    # only the opt-in search needs scipy
+    proc = run_python(
+        BLOCK_SCIPY +
+        "from supergram import build_setting, detect\n"
+        "from supergram.golden import N_STARTS\n"
+        "try:\n"
+        "    detect(build_setting(3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)]), n_starts=N_STARTS)\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("scipy ")
 
 
 def test_monotones_golden_report(tmp_path, capsys):

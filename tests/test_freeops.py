@@ -309,6 +309,41 @@ def test_high_dimensional_golden_settings_certify(d):
         assert np.linalg.norm(out.matrix - density_pure(phi).matrix) <= 1e-10
 
 
+def test_channels_build_past_the_float_range_of_d_factorial():
+    # 171! exceeds the float range; setting files allow d up to 1000, and
+    # nothing in the channel may need 1/d! as a float
+    d = 171
+    st = golden_setting(d, -0.5 / (d - 1), np.zeros(d))
+    psi = detect(st).candidate.state
+    phi = random_state(st, np.random.default_rng(d), full_rank=True)
+    kset = build_kraus_set(psi, phi)
+    assert kset.certificate.passed
+    assert kset.certificate.n_s1 == math.factorial(d)
+    out = apply_map(kset, density_pure(psi))
+    assert np.linalg.norm(out.matrix - density_pure(phi).matrix) <= 1e-10
+
+
+def test_uniform_tilde_source_reaches_exactly_the_targets_of_unit_norm_at_most():
+    # equal overlaps 1/2 at d = 3 admit no golden state, yet the source
+    # (1, w, w^2), w = exp(2 pi i/3), has a uniform tilde vector: its
+    # channel certifies every target phi with |phi|_2^2 <= 1 and no other
+    # (the closest of these 400 targets has ||phi|_2^2 - 1| = 3.0e-4)
+    st = build_setting(3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
+    w = np.exp(2j * np.pi / 3)
+    psi = normalize(np.array([1.0, w, w * w]), st)
+    rng = np.random.default_rng(0)
+    reached = 0
+    for _ in range(400):
+        phi = random_state(st, rng)
+        if np.sum(np.abs(phi.coeffs) ** 2) <= 1.0:
+            assert build_kraus_set(psi, phi).certificate.passed
+            reached += 1
+        else:
+            with pytest.raises(ValueError):
+                build_kraus_set(psi, phi)
+    assert reached == 175
+
+
 def test_golden_setting_rejects_invalid_forms():
     with pytest.raises(ValueError):
         golden_setting(4, -1.0 / 3, np.zeros(4))
@@ -375,7 +410,7 @@ def test_apply_map_identity_operator_set():
         psd_margin=0.0, annihilation=0.0, passed=True,
     )
     kset = KrausSet(
-        setting=st, ratios=np.zeros((2, 2), dtype=complex), s2=(eye_op,), probability=1.0,
+        setting=st, ratios=np.zeros((2, 2), dtype=complex), s2=(eye_op,),
         source=psi, target=psi, certificate=cert, full_rank_target=True,
     )
     rho = density_mixed([random_state(st, rng), random_state(st, rng)], [0.5, 0.5])
@@ -399,7 +434,6 @@ def test_apply_map_requires_certificate():
         setting=kset.setting,
         ratios=kset.ratios,
         s2=kset.s2,
-        probability=kset.probability,
         source=kset.source,
         target=kset.target,
         certificate=bad_cert,

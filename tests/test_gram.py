@@ -10,7 +10,6 @@ from supergram.gram import (
     embedding,
     fix_phase,
     rayleigh,
-    reorient_embedding,
     setting_from_json,
     setting_to_json,
     validate,
@@ -201,49 +200,6 @@ def test_embedding_rejects_dependent_basis():
     st = build_setting(3, [(1, 2, -0.5), (1, 3, -0.5), (2, 3, -0.5)])
     with pytest.raises(ValueError):
         embedding(st)
-
-
-def test_reorient_embedding():
-    st = build_setting(2, [(1, 2, -0.8)])
-    V = embedding(st)
-    assert np.array_equal(reorient_embedding(V, np.eye(2)), V)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        st = random_setting(4, rng)
-        V = embedding(st)
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        W = reorient_embedding(V, Q)
-        assert np.linalg.norm(W.conj().T @ W - st.gram) <= 1e-12
-    with pytest.raises(ValueError):
-        reorient_embedding(V, np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_reorient_embedding_rejects_non_finite_frames():
-    V = embedding(build_setting(2, [(1, 2, 0.3)]))
-    for bad in (np.nan, np.inf):
-        U = np.eye(2, dtype=complex)
-        U[0, 1] = bad
-        with pytest.raises(ValueError):
-            reorient_embedding(V, U)
-    with pytest.raises(ValueError):
-        reorient_embedding(V, np.full((2, 2), np.nan))
-
-
-def test_reorient_aligns_golden_with_uniform_frame_vector():
-    # overlap -4/5: a rotation can carry the embedded golden state onto the
-    # uniform vector of the orthonormal frame while G is unchanged
-    st = build_setting(2, [(1, 2, -0.8)])
-    V = embedding(st)
-    psi = np.ones(2) / np.sqrt(2 * (1 - 0.8))  # golden coefficients, + branch
-    w = (V @ psi).real
-    target = np.ones(2) / np.sqrt(2)
-    # rotation sending w to target (both unit, real here)
-    c = float(w @ target)
-    s = float(w[0] * target[1] - w[1] * target[0])
-    U = np.array([[c, -s], [s, c]])
-    W = reorient_embedding(V, U)
-    assert np.linalg.norm(W.conj().T @ W - st.gram) <= 1e-12
-    assert np.allclose(W @ psi, target, atol=1e-12)
 
 
 def test_fix_phase_conventions():

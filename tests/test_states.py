@@ -117,7 +117,7 @@ def test_value_types_copy_their_input():
     ratios = np.ones((2, 2), dtype=complex)
     cert = ChannelCertificate(n_s1=2, n_s2=0, frobenius_residual=0.0, psd_margin=0.0,
                               annihilation=0.0, passed=True)
-    kset = KrausSet(setting=st, ratios=ratios, s2=(), probability=0.5, source=psi,
+    kset = KrausSet(setting=st, ratios=ratios, s2=(), source=psi,
                     target=psi, certificate=cert, full_rank_target=True)
     for base in (vec, mat, gram, kraus, evals, evecs, resid, ratios):
         assert base.flags.writeable
