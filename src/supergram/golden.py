@@ -21,15 +21,17 @@ With the unit diagonal this says that a golden state exists exactly when
 and then u are its phases and lambda_min = 1 + (d - 1) c.  Equivalently,
 at every d, the top d - 1 eigenvalues of G coincide: the unit diagonal
 forces any mu I + (lambda_1 - mu) x x^dag into the form above (at d = 3,
-the paper's degenerate top pair).  ``detect`` decides by the closed form:
-it fits c and u in O(d^2) and accepts when the entrywise distance from G
-to the fitted form is within tolerance.
-The eigenspace itself does not decide.  At the equal-overlap setting
-s = 1/2 in dimension 3, complex combinations of the degenerate minimal
-eigenspace such as (1, w, w^2) with w = exp(2 pi i / 3) do satisfy the
-uniform-tilde condition, yet the free channels built from them reach only
-the targets phi with sum |phi_i|^2 <= 1, not every target, and the
-setting admits no golden state.
+the paper's degenerate top pair).  A golden state is a minimal
+eigenvector, so ``detect`` decides from one eigendecomposition: G must lie
+within tolerance of the identity or of the form of its minimal eigenpair,
+c = (lambda_min - 1)/(d - 1) and u the eigenvector's phases.  No basis
+order enters, so relabelling or re-phasing the basis changes no verdict.
+Equal moduli and a uniform tilde vector do not suffice: at the
+equal-overlap setting s = 1/2 in dimension 3, complex combinations of the
+degenerate minimal eigenspace such as (1, w, w^2) with w = exp(2 pi i / 3)
+do satisfy the uniform-tilde condition, yet the free channels built from
+them reach only the targets phi with sum |phi_i|^2 <= 1, not every
+target, and the setting admits no golden state.
 
 On request (``n_starts > 0``) a multistart search of a degenerate minimal
 eigenspace reports how far the best eigenspace vector remains from a
@@ -47,7 +49,7 @@ import numpy as np
 
 from .gram import ACCEPT_TOL, EQUAL_MODULUS_TOL, MIN_EIG_TOL, REJECT_TOL
 from .gram import TABLE1_TOL, UNITARY_TOL, ZERO_TOL
-from .gram import GramSetting, build_setting, eigensystem, fix_phase
+from .gram import EigenSystem, GramSetting, build_setting, eigensystem, fix_phase
 from .states import SuperpositionState, normalize
 
 __all__ = [
@@ -98,9 +100,9 @@ class GoldenSearchReport:
     """Outcome of golden-state detection on one setting.
 
     With ``n_starts == 0`` (the default) ``best_deviation`` is the
-    entrywise distance max |G - ((1 - c) I + c u u^dag)| from the Gram
-    matrix to its fitted golden form, the number that decided the
-    outcome.  When the eigenspace search ran (``n_starts > 0``, only on a
+    entrywise distance from the Gram matrix to the nearer of the identity
+    and the golden form of its minimal eigenpair, the number that decided
+    the outcome.  When the eigenspace search ran (``n_starts > 0``, only on a
     degenerate "none"), it is instead the smallest certified-goldenness
     deviation the search saw over the eigenspace (max of tilde deviation
     and free-channel residual), and ``n_starts`` counts its starts.
@@ -294,22 +296,21 @@ def _degenerate_search(setting, X, lam, n_starts, seed, accept_tol):
     return best_dev, len(converged)
 
 
-def _golden_form(setting: GramSetting) -> tuple[float, np.ndarray, float]:
-    """Fit G = (1 - c) I + c u u^dag to the Gram matrix.
-
-    c = -mean |G_il| over the off-diagonal entries, and u carries the
-    phases of the first row (u_1 = 1; u = 1 when the row vanishes).
-    Returns (c, u, entrywise distance max |G - fitted form|).
-    """
+def _golden_form(setting: GramSetting, es: EigenSystem) -> tuple[np.ndarray, float]:
+    """u, the phases of the minimal eigenvector (1 where an entry vanishes),
+    and the entrywise distance from G to the nearer of the identity and
+    (1 - c) I + c u u^dag, c = (lambda_min - 1)/(d - 1).  A degenerate
+    minimal eigenvalue fixes no u, and no golden form with c < 0 has one:
+    there the identity alone decides."""
     G = setting.gram
-    d = setting.d
-    c = -float(np.mean(np.abs(G[~np.eye(d, dtype=bool)])))
-    # G_1l = c conj(u_l) with c <= 0, so u_l has the phase of -conj(G_1l)
-    row = -G[0].conj()
-    mods = np.abs(row)
-    u = np.where(mods > 0.0, row / np.where(mods > 0.0, mods, 1.0), 1.0)
-    u[0] = 1.0
-    return c, u, float(np.max(np.abs(G - _form(c, u))))
+    x = es.eigenvectors[:, 0]
+    mods = np.abs(x)
+    u = np.where(mods > 0.0, x / np.where(mods > 0.0, mods, 1.0), 1.0)
+    dist = float(np.max(np.abs(G - np.eye(setting.d))))
+    if len(es.min_group) == 1:
+        c = (es.lambda_min - 1.0) / (setting.d - 1)
+        dist = min(dist, float(np.max(np.abs(G - _form(c, u)))))
+    return u, dist
 
 
 def detect(
@@ -320,12 +321,11 @@ def detect(
 ) -> GoldenSearchReport:
     """Decide whether a setting admits a golden state and construct it.
 
-    The decision is the closed form: fit G = (1 - c) I + c u u^dag with
-    c = -mean |G_il| off the diagonal and u the phases of the first row,
-    and accept when the entrywise distance from G to the fit is at most
-    ``accept_tol`` and c lies in (-1/(d-1), 0].  The golden state is then
-    u / sqrt(d lambda) with lambda = 1 + (d - 1) c, the minimal
-    eigenvalue.  The eigensystem rejects dependent settings and supplies
+    The decision is the closed form of one eigendecomposition: accept when
+    G lies within ``accept_tol``, entrywise, of the identity or of the
+    golden form of its minimal eigenpair (``_golden_form``); the golden
+    state is then u / sqrt(d lambda_min) with u the eigenvector's phases.
+    The eigensystem also rejects dependent settings and supplies
     ``multiplicity``.
 
     On "none" the report carries that distance as ``best_deviation`` and
@@ -341,16 +341,14 @@ def detect(
         raise ValueError("setting is not positive definite (dependent basis)")
     group = list(es.min_group)
     m = len(group)
-    d = setting.d
 
-    c, u, dist = _golden_form(setting)
-    if dist <= accept_tol and _admissible(d, c):
-        lam = 1.0 + (d - 1) * c
-        # u^dag G u = d lam up to the fit distance; normalizing against G
-        # keeps the state normalized when a caller loosens accept_tol
+    u, dist = _golden_form(setting, es)
+    if dist <= accept_tol:
+        # u^dag G u = d lambda_min up to the fit distance; normalizing against
+        # G keeps the state normalized when a caller loosens accept_tol
         psi = fix_phase(_normalized_from_raw(setting, u))
         try:
-            candidate = _make_candidate(setting, psi, lam)
+            candidate = _make_candidate(setting, psi, es.lambda_min)
         except ValueError:
             # near dependence psi^dag G psi carries a rounding error of about
             # eps / lambda_min, which can exceed NORM_TOL: no verdict

@@ -91,12 +91,12 @@ def no_search(monkeypatch):
 
 def test_golden_none_exit_code(tmp_path, capsys, no_search):
     # the closed form decides and reports its fit distance: off-diagonal
-    # 0.5 against the fitted -0.5
+    # 0.5 from the identity, the nearer golden form
     path = write_setting(tmp_path, "half.json", 3, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
     assert main(["golden", path]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["outcome"] == "none"
-    assert out["best_deviation"] == pytest.approx(1.0, abs=1e-12)
+    assert out["best_deviation"] == pytest.approx(0.5, abs=1e-12)
     assert out["n_starts"] == 0 and out["multiplicity"] == 2
 
 
@@ -105,7 +105,7 @@ def test_golden_file_errors(tmp_path):
 
 
 def test_golden_inconclusive_exit_code(tmp_path, capsys, no_search):
-    # nearly orthonormal equal overlaps: the fit distance 2e-7 lies in the
+    # nearly orthonormal equal overlaps: the fit distance 1e-7 lies in the
     # gray zone between acceptance and confident rejection
     path = write_setting(tmp_path, "gray.json", 3,
                          [(1, 2, 1e-7), (1, 3, 1e-7), (2, 3, 1e-7)])

@@ -15,7 +15,7 @@ from supergram.freeops import (
     is_free_kraus,
     residual,
 )
-from supergram.gram import build_setting, embedding
+from supergram.gram import build_setting, eigensystem, embedding
 from supergram.golden import closed_form_equal_real, detect, golden_setting
 from supergram.sampling import random_state
 from supergram.states import density_mixed, density_pure, normalize
@@ -288,6 +288,29 @@ def test_build_and_apply_never_enumerate():
     assert kset.certificate.n_s1 == math.factorial(8)
     assert np.linalg.norm(out.matrix - density_pure(phi).matrix) <= 1e-10
     assert peak < 1_000_000
+
+
+def test_golden_source_residual_is_a_multiple_of_one_projector():
+    # from a golden source of G = (1 - c) I + c u u^dag, every target phi
+    # leaves the S1 residual R = alpha (I - u u^dag / d) with
+    # alpha = d (1 - lambda_min |phi|_2^2) / (d - 1) >= 0 by the Rayleigh
+    # bound, so R is PSD and kills psi: "found" implies every target
+    # certifies.  u is the minimal eigenvector's phase vector.
+    rng = np.random.default_rng(7)
+    for d in range(2, 30):
+        st = golden_setting(d, rng.uniform(-0.95, 0.0) / (d - 1), rng.uniform(0.0, 2.0 * np.pi, d))
+        psi = detect(st).candidate.state
+        es = eigensystem(st)
+        x = es.eigenvectors[:, 0]
+        u = x / np.abs(x)
+        for _ in range(5):
+            phi = random_state(st, rng, full_rank=True)
+            ksum = freeops._s1_completeness(st.gram, freeops._ratios(psi, phi))
+            R = residual(st, ksum, psi).matrix
+            alpha = d * (1.0 - es.lambda_min * np.linalg.norm(phi.coeffs) ** 2) / (d - 1)
+            assert alpha >= 0.0
+            assert np.linalg.norm(R - alpha * (np.eye(d) - np.outer(u, u.conj()) / d)) <= 1e-14
+            assert np.linalg.norm(R @ u) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [16, 32, 50])

@@ -454,8 +454,9 @@ def test_eigenspace_search_runs_only_on_request(monkeypatch):
     monkeypatch.setattr(golden, "minimize", counting)
     rep = detect(equal_setting(3, 0.5))
     assert rep.outcome == "none" and rep.n_starts == 0 and not calls
-    # the closed-form distance: off-diagonal 0.5 against the fitted -0.5
-    assert rep.best_deviation == pytest.approx(1.0, abs=1e-12)
+    # the closed-form distance: off-diagonal 0.5 from the identity, the
+    # nearer golden form
+    assert rep.best_deviation == pytest.approx(0.5, abs=1e-12)
     rep = detect(equal_setting(3, 0.5), n_starts=N_STARTS)
     assert rep.outcome == "none"
     assert rep.n_starts >= 50
