@@ -161,12 +161,10 @@ def cmd_scan(args) -> int:
     end = _first(lambda k: k >= n or s_at(k) >= hi - gram.SCAN_EDGE_TOL)
     lines = ["s,lambda_min,l1_golden,l1_closed_form\n"]
     for s in map(s_at, range(first, end)):
-        setting = setting_at(s)
-        lam_min = gram.eigensystem(setting).lambda_min
-        report = golden.detect(setting)
+        report = golden.detect(setting_at(s))
         found = report.outcome == "found"
         l1_golden = monotones.l1_superposition(report.candidate.state) if found else None
-        row = (s, lam_min, l1_golden, l1_closed_form(s))
+        row = (s, report.lambda_min, l1_golden, l1_closed_form(s))
         lines.append(",".join("" if x is None else _fmt(x) for x in row) + "\n")
     clipped = n - (end - first)
     if clipped:

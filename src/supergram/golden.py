@@ -109,7 +109,8 @@ class GoldenSearchReport:
     ``inconclusive`` marks a "none" whose deviation lies in the gray zone
     between acceptance and confident rejection, or one whose fit was
     accepted but whose state cannot be confirmed normalized to
-    ``NORM_TOL``, as happens close to linear dependence.
+    ``NORM_TOL``, as happens close to linear dependence.  ``lambda_min``
+    is the smallest Gram eigenvalue, set on every outcome.
     """
 
     outcome: str
@@ -118,6 +119,7 @@ class GoldenSearchReport:
     inconclusive: bool
     multiplicity: int
     n_starts: int
+    lambda_min: float
 
 
 def report_to_json(report: GoldenSearchReport) -> dict:
@@ -352,15 +354,17 @@ def detect(
         except ValueError:
             # near dependence psi^dag G psi carries a rounding error of about
             # eps / lambda_min, which can exceed NORM_TOL: no verdict
-            return GoldenSearchReport("none", None, dist, True, m, 0)
-        return GoldenSearchReport("found", candidate, dist, False, m, 0)
+            return GoldenSearchReport("none", None, dist, True, m, 0, es.lambda_min)
+        return GoldenSearchReport("found", candidate, dist, False, m, 0, es.lambda_min)
     if m == 1 or n_starts <= 0:
-        return GoldenSearchReport("none", None, dist, dist <= REJECT_TOL, m, 0)
+        return GoldenSearchReport("none", None, dist, dist <= REJECT_TOL, m, 0, es.lambda_min)
 
     lam = float(np.mean(es.eigenvalues[group]))
     X = es.eigenvectors[:, group]
     best_dev, starts_run = _degenerate_search(setting, X, lam, n_starts, seed, accept_tol)
-    return GoldenSearchReport("none", None, best_dev, best_dev <= REJECT_TOL, m, starts_run)
+    return GoldenSearchReport(
+        "none", None, best_dev, best_dev <= REJECT_TOL, m, starts_run, es.lambda_min
+    )
 
 
 def _make_candidate(setting: GramSetting, psi: np.ndarray, lam: float) -> GoldenCandidate:

@@ -15,6 +15,7 @@ ln(d / lambda_min).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,58 +85,69 @@ def _entropy_term(rho: np.ndarray) -> float:
     return float(np.sum(evals * np.log(evals)))
 
 
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.cache
+def _sorted_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables min(i, j) and max(i, j) of a d x d table, built once per
+    d and shared, so read-only."""
+    r = np.arange(d)
+    return _read_only(np.minimum.outer(r, r), np.maximum.outer(r, r))
+
+
 def _loewner_log(w: np.ndarray) -> np.ndarray:
-    """Divided-difference table of ln on the (floored) eigenvalues:
+    """Divided-difference table of ln on ascending positive eigenvalues w:
     L_ij = (ln w_i - ln w_j) / (w_i - w_j), with 1/w on coincidences.
     Taken as log1p(x) / x / min(w_i, w_j), x = |w_i - w_j| / min(w_i, w_j),
     which keeps full relative accuracy however close the pair."""
-    w = np.maximum(w, _Q_FLOOR * 1e-6)
-    lo = np.minimum.outer(w, w)
-    x = np.abs(np.subtract.outer(w, w)) / lo
+    lo_index, hi_index = _sorted_pairs(len(w))
+    lo = w[lo_index]
+    x = (w[hi_index] - lo) / lo
     L = np.ones_like(x)
     np.divide(np.log1p(x), x, out=L, where=x > 0.0)
     L /= lo
     return L
 
 
+@functools.cache
 def _sorted_triples(d: int) -> tuple[np.ndarray, ...]:
     """For every index triple (i, m, j) of a d x d x d table, flattened: its
-    sorted members lo <= mid <= hi, and the flat positions of (lo, mid)
-    and (mid, hi) in a d x d table."""
+    sorted members lo <= mid <= hi, and the flat positions of (lo, mid) and
+    (mid, hi) in a d x d table.  Built once per d and shared, so read-only."""
     r = np.arange(d)
     i, m, j = r[:, None, None], r[:, None], r
     lo = np.minimum(np.minimum(i, m), j).ravel()
     hi = np.maximum(np.maximum(i, m), j).ravel()
     mid = (i + m + j).ravel() - lo - hi
-    return lo, mid, hi, lo * d + mid, mid * d + hi
+    return _read_only(lo, mid, hi, lo * d + mid, mid * d + hi)
 
 
 def _loewner_log2(w: np.ndarray, L: np.ndarray, triples) -> np.ndarray:
-    """Second divided differences of ln on ascending eigenvalues w, from
-    their first-order table L = ``_loewner_log(w)`` and
-    ``_sorted_triples(len(w))``: T[i, m, j] = (L[lo, mid] - L[mid, hi]) /
-    (w_lo - w_hi) over the sorted index triple, and ln''/2 = -1/(2 u^2) at
-    the triple's mean u where w_hi and w_lo agree to within 1e-5 relative;
-    either way the relative error is below about 1e-10."""
+    """Second divided differences of ln on ascending positive w, from
+    L = ``_loewner_log(w)`` and ``_sorted_triples(len(w))``, symmetric in
+    (i, m, j): T = (L[lo, mid] - L[mid, hi]) / (w_lo - w_hi) over the sorted
+    triple, and ln''/2 = -1/(2 u^2) at its mean u where w_hi and w_lo agree
+    to 1e-5 relative; either way to about 1e-10 relative."""
     lo, mid, hi, lo_mid, mid_hi = triples
-    w = np.maximum(w, _Q_FLOOR * 1e-6)
     w_lo, w_hi = w[lo], w[hi]
     span = w_lo - w_hi
-    close = -span <= 1e-5 * w_hi
     T = -4.5 / (w_lo + w[mid] + w_hi) ** 2
-    np.divide(L.ravel()[lo_mid] - L.ravel()[mid_hi], span, out=T, where=~close)
+    np.divide(L.ravel()[lo_mid] - L.ravel()[mid_hi], span, out=T, where=span < -1e-5 * w_hi)
     d = len(w)
     return T.reshape(d, d, d)
 
 
-def _hessian(w, A, W, L, triples) -> np.ndarray:
-    """Hessian of the objective in q from the eigensystem of sigma:
-    -2 Re K with K_kl = sum_ijm A_ji T_imj W_ik conj(W_mk) W_ml conj(W_jl),
-    T the second divided differences of ln (Daleckii-Krein one order up),
-    summed over m as one batch of d products W^T M_m conj(W)."""
-    M = A.T[:, None, :] * _loewner_log2(w, L, triples)  # M[i, m, j] = A_ji T_imj
-    B = W.T @ M.transpose(1, 0, 2) @ W.conj()
-    K = (W.conj()[:, :, None] * W[:, None, :] * B).sum(axis=0)
+def _hessian(w, A, W, Wc, L, triples) -> np.ndarray:
+    """Hessian of the objective in q from the eigensystem of sigma, Wc =
+    conj(W): -2 Re K, K_kl = sum_ijm A_ji T_imj W_ik Wc_mk W_ml Wc_jl, T the
+    second divided differences of ln (Daleckii-Krein one order up), summed
+    over m as one batch of d products W^T M_m Wc, M_m[i, j] = A_ji T_mij."""
+    B = W.T @ (A.T * _loewner_log2(w, L, triples)) @ Wc
+    K = np.add.reduce(Wc[:, :, None] * W[:, None, :] * B)
     return -2.0 * K.real
 
 
@@ -144,27 +156,27 @@ def _newton_step(q: np.ndarray, grad: np.ndarray, H: np.ndarray):
     the bordered KKT system [H_FF 1; 1^T 0]; None when the face has fewer
     than two coordinates, the system is singular, or the step does not
     descend."""
-    free = np.flatnonzero(q > _Q_FLOOR * 10.0)
-    n = len(free)
+    free = q > _Q_FLOOR * 10.0
+    n = np.count_nonzero(free)
     if n < 2:
         return None
+    if n == len(q):  # the whole simplex is the face: views, no gathered copies
+        free = slice(None)
     kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = H[free[:, None], free]
+    kkt[:n, :n] = H[free][:, free]
     kkt[n, n] = 0.0
     # a step that sums to zero sees the gradient only up to a constant;
     # centring it keeps its slope, of order |grad - mean|^2, above rounding
     grad = grad - q @ grad
     rhs = np.zeros(n + 1)
-    rhs[:n] = -grad[free]
+    np.negative(grad[free], out=rhs[:n])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    step = np.zeros_like(q)
+    step = np.zeros(len(q))
     step[free] = sol[:n]
-    if not (np.isfinite(step).all() and grad @ step < 0.0):
-        return None
-    return step
+    return step if np.isfinite(step).all() and grad @ step < 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -173,11 +185,10 @@ class RelEntropyInfo:
 
     ``value`` is the monotone and ``q`` the optimal weights on the simplex.
     ``iterations`` counts accepted steps, Newton or fixed-point alike.
-    ``gradient_norm`` is the simplex KKT residual at ``q`` (see
-    ``_projected_gradient_norm``).  ``gap`` is the Frank-Wolfe duality gap
-    max_k g_k - sum_k q_k g_k, g the negative gradient: by convexity the
-    value exceeds the true minimum by at most ``gap``.  ``converged`` says
-    whether the residual fell to ``GRAD_TOL`` and the gap to ``GAP_TOL``.
+    ``gradient_norm`` is the simplex KKT residual at ``q`` and ``gap`` the
+    Frank-Wolfe duality gap, which bounds the value's excess over the true
+    minimum (both from ``_kkt_check``).  ``converged`` says whether the
+    residual fell to ``GRAD_TOL`` and the gap to ``GAP_TOL``.
     """
 
     value: float
@@ -201,31 +212,32 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     this is the optimum, the closed form S(diag rho) - S(rho), and the
     solve takes no step.
 
-    Step: a damped Newton step on the free face {q_k > 1e-11}, for d up
-    to 16, with the Hessian from second divided differences of ln
-    (``_hessian``) and the bordered KKT system of the face.  It is cut to 0.99 of the distance
-    to the simplex boundary and halved, at most three times, until it
-    does not raise the objective.
+    Step: for d up to 16, a damped Newton step on the free face
+    {q_k > 1e-11}, from the Hessian of second divided differences of ln
+    (``_hessian``) and the bordered KKT system of the face, cut to 0.99
+    of the distance to the simplex boundary and halved, at most three
+    times, until it does not raise the objective.
 
     Fallback: where the Newton step is undefined, does not descend or is
     not accepted, or a floored weight should grow (its gradient is below
-    the free face's multiplier), the fixed-point step q_k <- q_k g_k^tau
-    is taken, floored and renormalized, with the first tau of omega, 1,
-    1/2, 1/4, ... (at most 60 tries) that does not raise the objective.
-    A short enough step always descends: g >= 0, because ln is operator
-    monotone, and along q g^tau the objective's slope at tau = 0 is
-    -Cov_q(g, ln g) <= 0, zero only at a fixed point.  While this
-    iteration contracts slowly (near linear dependence) omega doubles up
-    to 1e3 after each full step, and it is reset to 1 when a shorter step
-    is taken.
+    the free face's multiplier), the fixed-point step q_k <- q_k g_k^tau,
+    floored and renormalized, with the first tau of omega, 1, 1/2, 1/4,
+    ... (at most 60 tries) that does not raise the objective.  A short
+    enough step always descends: g >= 0, because ln is operator monotone,
+    and along q g^tau the slope at tau = 0 is -Cov_q(g, ln g) <= 0.  While
+    this iteration contracts slowly (near linear dependence) omega doubles
+    up to 1e3 after each full step; a shorter step resets it to 1.
 
-    Stop: converged once the simplex-projected gradient norm is at most
-    ``GRAD_TOL`` and the duality gap max_k g_k - sum_k q_k g_k, which
-    bounds the value's excess over the minimum, at most ``GAP_TOL``.
-    Near linear dependence rounding keeps the gap above about
-    eps / lambda_min; a step that moves q by less than 1e-15 without
-    lowering the objective then ends the solve unconverged, and so do
-    20000 iterations.
+    Stop: converged once the simplex KKT residual is at most ``GRAD_TOL``
+    and the duality gap max_k g_k - sum_k q_k g_k, which bounds the
+    value's excess over the minimum, at most ``GAP_TOL``.  Near linear
+    dependence rounding keeps the gap above about eps / lambda_min; a step
+    that moves q by less than 1e-15 without lowering the objective then
+    ends the solve unconverged, and so do 20000 iterations.
+
+    Cost: a trial point is one eigendecomposition of sigma; a Newton
+    iteration adds the Hessian (2d products of d x d matrices) and one
+    (n + 1)-square solve.  At d <= 5 numpy's per-call overhead sets it.
 
     With ``full_output`` the optimizer diagnostics are returned alongside
     the value.
@@ -236,22 +248,24 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     Vh = V.conj().T
 
     def objective_grad(q):
-        # one Hermitian eigendecomposition of sigma gives the value
-        # const - sum_i A_ii ln w_i and, through the Daleckii-Krein table L,
-        # the gradient -Re sum_ij W_ik (A^T o L)_ij conj(W_jk); the
-        # eigensystem is kept for the Hessian
+        # one eigendecomposition of sigma gives the value const - sum_i A_ii
+        # ln w_i, the gradient -Re sum_ij W_ik (A^T o L)_ij Wc_jk through the
+        # Daleckii-Krein table L, and the eigensystem kept for the Hessian
         w, U = np.linalg.eigh((V * q) @ Vh)
-        w = np.maximum(w, _LOG_FLOOR)
+        np.maximum(w, _LOG_FLOOR, out=w)
         Uh = U.conj().T
         A = Uh @ rho_emb @ U
         val = const - float(A.diagonal().real @ np.log(w))
         W = Uh @ V
+        Wc = W.conj()
+        np.maximum(w, _Q_FLOOR * 1e-6, out=w)
         L = _loewner_log(w)
-        grad = -(W * ((A.T * L) @ W.conj())).real.sum(axis=0)
-        return val, grad, (w, A, W, L)
+        grad = -np.add.reduce((W * ((A.T * L) @ Wc)).real)
+        return val, grad, (w, A, W, Wc, L)
 
     def trial(x):
-        x = np.maximum(x, _Q_FLOOR)
+        # x is always a fresh array, floored and renormalized in place
+        np.maximum(x, _Q_FLOOR, out=x)
         x /= x.sum()
         return (x, *objective_grad(x))
 
@@ -263,7 +277,7 @@ def rel_entropy_superposition(rho, full_output: bool = False):
         if step is None:
             return None
         shrink = step < 0.0
-        alpha = min(1.0, 0.99 * float(np.min(q[shrink] / -step[shrink])))
+        alpha = min(1.0, 0.99 * float((q[shrink] / -step[shrink]).min()))
         for _ in range(4):
             cand = trial(q + alpha * step)
             if cand[1] <= val + 1e-15:
@@ -274,11 +288,11 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     Vinv = np.linalg.inv(V)
     q, val, grad, eig = trial((Vinv @ rho_emb @ Vinv.conj().T).diagonal().real.copy())
     iterations = 0
-    pg_norm, gap = _projected_gradient_norm(q, grad), _duality_gap(q, grad)
+    pg_norm, gap, pushes_in = _kkt_check(q, grad)
     omega = 1.0
     while (pg_norm > GRAD_TOL or gap > GAP_TOL) and iterations < _MAX_ITER:
         cand = None
-        if triples is not None and not _floor_pushes_in(q, grad):
+        if triples is not None and not pushes_in:
             cand = newton(q, val, grad, eig)
         took_newton = cand is not None
         if not took_newton:
@@ -300,8 +314,8 @@ def rel_entropy_superposition(rho, full_output: bool = False):
                 omega = 1.0
         stalled = cand[1] > val - 1e-18 and float(np.linalg.norm(cand[0] - q)) < 1e-15
         q, val, grad, eig = cand
-        pg_prev, pg_norm = pg_norm, _projected_gradient_norm(q, grad)
-        gap = _duality_gap(q, grad)
+        pg_prev = pg_norm
+        pg_norm, gap, pushes_in = _kkt_check(q, grad)
         if not took_newton and tau >= 1.0 and pg_norm > _SLOW_RATE * pg_prev:
             omega = min(2.0 * omega, _MAX_OMEGA)
         iterations += 1
@@ -309,46 +323,29 @@ def rel_entropy_superposition(rho, full_output: bool = False):
             break
 
     value = max(val, 0.0)
-    info = RelEntropyInfo(
-        value=value,
-        q=q,
-        iterations=iterations,
-        gradient_norm=pg_norm,
-        gap=gap,
-        converged=bool(pg_norm <= GRAD_TOL and gap <= GAP_TOL),
-    )
+    converged = bool(pg_norm <= GRAD_TOL and gap <= GAP_TOL)
+    info = RelEntropyInfo(value, q, iterations, pg_norm, gap, converged)
     return (value, info) if full_output else value
 
 
-def _duality_gap(q: np.ndarray, grad: np.ndarray) -> float:
-    """Frank-Wolfe gap max_k g_k - sum_k q_k g_k, g = -grad: by convexity
-    it bounds the objective's excess over its minimum on the simplex."""
-    return float(q @ grad - grad.min())
-
-
-def _floor_pushes_in(q: np.ndarray, grad: np.ndarray) -> bool:
-    """Whether some floored weight violates the simplex KKT condition: its
-    gradient lies below the multiplier of the free face, so the objective
-    falls as it grows, which a step on the face cannot do."""
+def _kkt_check(q: np.ndarray, grad: np.ndarray) -> tuple[float, float, bool]:
+    """Stop and face tests in one pass, g = -grad: the simplex KKT residual
+    (interior coordinates share one multiplier mu, floored ones may only
+    push outward), the Frank-Wolfe gap max_k g_k - sum_k q_k g_k, which
+    bounds the objective's excess over its minimum, and whether a floored
+    weight pushes in (grad below mu), which a step on the face cannot do."""
+    qg = q @ grad
+    gap = float(qg - grad.min())
     active = q <= _Q_FLOOR * 10.0
-    if not active.any() or active.all():
-        return False
-    mu = float(q[~active] @ grad[~active] / q[~active].sum())
-    return bool(grad[active].min() < mu)
-
-
-def _projected_gradient_norm(q: np.ndarray, grad: np.ndarray) -> float:
-    """KKT residual on the simplex: interior coordinates must share one
-    multiplier, floored coordinates may only push outward."""
-    active = q <= _Q_FLOOR * 10.0
-    if not active.any() or active.all():
+    if not 0 < np.count_nonzero(active) < len(q):
         # every coordinate counts as interior
-        r = (grad - (q @ grad) / q.sum()) * q
-        return math.sqrt(r @ r)
+        r = (grad - qg / q.sum()) * q
+        return math.sqrt(r @ r), gap, False
     mu = float(np.sum(q[~active] * grad[~active]) / np.sum(q[~active]))
     r = grad - mu
     r[active] = np.minimum(r[active], 0.0)
-    return float(np.linalg.norm(r * np.where(active, 1.0, q)))
+    residual = float(np.linalg.norm(r * np.where(active, 1.0, q)))
+    return residual, gap, bool(grad[active].min() < mu)
 
 
 def constant_trace_overlaps(psi) -> np.ndarray:
@@ -372,7 +369,8 @@ class BoundCheck:
 @dataclass(frozen=True, eq=False)
 class MonotoneReport:
     """Both monotones of one state, its basis overlaps, the setting's
-    bounds (d - 1)/lambda_min and ln(d/lambda_min), and solver data.
+    bounds (d - 1)/lambda_min and ln(d/lambda_min), and solver data: the
+    duality ``gap`` certifies ``rel_entropy`` to within itself.
 
     Golden states attain both bounds (``"attained"`` in ``to_json``), but
     attaining them is not enough: at equal overlaps 1/2 in d = 3, the
@@ -387,6 +385,7 @@ class MonotoneReport:
     rel_entropy_bound: float
     iterations: int
     gradient_norm: float
+    gap: float
 
     def to_json(self) -> dict:
         flags = bound_check(self)
@@ -415,6 +414,7 @@ def monotone_report(rho) -> MonotoneReport:
         rel_entropy_bound=float(np.log(setting.d / lam_min)),
         iterations=info.iterations,
         gradient_norm=info.gradient_norm,
+        gap=info.gap,
     )
 
 

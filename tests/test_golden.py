@@ -367,6 +367,24 @@ def test_detect_close_to_dependence_is_inconclusive():
     assert rep.best_deviation <= ACCEPT_TOL
 
 
+def test_report_carries_lambda_min_on_every_outcome():
+    # found, a plain none, a none after the eigenspace search, and the
+    # inconclusive none close to dependence
+    cases = [
+        (build_setting(2, [(1, 2, 0.6)]), 0),
+        (build_setting(3, [(1, 2, 0.25), (1, 3, -0.1), (2, 3, 0.2)]), 0),
+        (equal_setting(3, 0.5), 4),
+        (build_setting(2, [(1, 2, -0.999999998)]), 0),
+    ]
+    outcomes = []
+    for st, n_starts in cases:
+        rep = detect(st, n_starts=n_starts)
+        assert rep.lambda_min == eigensystem(st).lambda_min
+        outcomes.append((rep.outcome, rep.n_starts > 0, rep.inconclusive))
+    assert outcomes == [("found", False, False), ("none", False, False),
+                        ("none", True, False), ("none", False, True)]
+
+
 def test_gray_zone_is_flagged_inconclusive():
     # an almost-orthonormal equal setting: the search lands between the
     # acceptance threshold and the confident-rejection threshold

@@ -12,8 +12,8 @@ from supergram.monotones import (
     _Q_FLOOR,
     _embedded,
     _hessian,
+    _kkt_check,
     _loewner_log,
-    _projected_gradient_norm,
     _sorted_triples,
     bound_check,
     constant_trace_overlaps,
@@ -159,11 +159,11 @@ def test_d2_oracle_lies_within_the_certified_gap():
 
 def objective_parts(V, rho_emb, q):
     """Gradient of the solver's objective at q and the eigensystem parts
-    (w, A, W, L) its Hessian takes, computed as the solver does."""
+    (w, A, W, conj(W), L) its Hessian takes, computed as the solver does."""
     w, U = np.linalg.eigh((V * q) @ V.conj().T)
     Uh = U.conj().T
     A, W, L = Uh @ rho_emb @ U, Uh @ V, _loewner_log(w)
-    return -(W * ((A.T * L) @ W.conj())).real.sum(axis=0), (w, A, W, L)
+    return -(W * ((A.T * L) @ W.conj())).real.sum(axis=0), (w, A, W, W.conj(), L)
 
 
 @pytest.mark.parametrize("case", ["random", "orthonormal", "golden"])
@@ -188,13 +188,19 @@ def test_hessian_matches_finite_differences_of_the_gradient(case):
             assert np.ptp(w) <= 1e-15
         elif case == "golden":
             assert np.ptp(w[1:]) <= 1e-15 and w[1] - w[0] > 0.1
-        H = _hessian(*parts, _sorted_triples(d))
+        triples = _sorted_triples(d)
+        H = _hessian(*parts, triples)
         h = 1e-6
         fd = np.column_stack([
             (objective_parts(V, rho_emb, q + h * e)[0] - objective_parts(V, rho_emb, q - h * e)[0]) / (2 * h)
             for e in np.eye(d)
         ])
         assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max(), (case, d)
+        # the index tables are built once per d and shared, read-only
+        assert _sorted_triples(d) is triples
+        for table in triples:
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 def test_rel_entropy_orthonormal_limit_in_one_step():
@@ -248,6 +254,43 @@ def test_rel_entropy_iteration_budget_mixed():
     assert sum(info.iterations for info in infos) <= 485
 
 
+# (iterations, value) of the 16 solves of test_rel_entropy_solve_path_is_pinned
+# as the solver took them when the test was written
+PINNED_SOLVES = [
+    (4, 0.8929428060197356), (4, 0.22388870540621827), (4, 0.23903782329533457),
+    (4, 0.0292887893709722), (4, 0.44385867153238634), (5, 0.34348350911545145),
+    (7, 0.19416931147030952), (4, 0.034472759264537634), (4, 0.9574762007872768),
+    (4, 0.7552574728927651), (6, 0.46457395924169037), (5, 0.7262448156380902),
+    (4, 0.8029184703101191), (6, 0.9496939151388658), (5, 1.0624577883716033),
+    (6, 0.5718153660423876),
+]
+
+
+def test_rel_entropy_solve_path_is_pinned():
+    # the bench's regime, as in test_rel_entropy_iteration_budget_mixed: two
+    # seeded two-state mixtures per d = 2..5 and overlap fraction 0.6, 0.9.
+    # A kernel edit meant to keep every iterate must keep each solve's
+    # iteration count and value
+    rng = np.random.default_rng(28)
+    solves = []
+    for d in range(2, 6):
+        for frac in (0.6, 0.9):
+            if d == 2:
+                st = build_setting(2, [(1, 2, frac * np.exp(2j * np.pi * rng.uniform()))])
+            else:
+                s = frac / (1.0 - d)
+                st = build_setting(d, [(i, j, s) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
+            for _ in range(2):
+                states = [random_state(st, rng), random_state(st, rng)]
+                rho = density_mixed(states, rng.dirichlet(np.ones(2)))
+                value, info = rel_entropy_superposition(rho, full_output=True)
+                assert info.converged
+                solves.append((info.iterations, value))
+    assert [it for it, _ in solves] == [it for it, _ in PINNED_SOLVES]
+    for (_, value), (_, pinned) in zip(solves, PINNED_SOLVES):
+        assert value == pytest.approx(pinned, abs=1e-15)
+
+
 def kkt_residual(q, grad):
     """Simplex KKT residual written out coordinate by coordinate: interior
     coordinates share the multiplier mu and contribute q_k (grad_k - mu);
@@ -270,11 +313,15 @@ def test_projected_gradient_norm_matches_kkt_definition():
     for d in range(2, 6):
         q = rng.dirichlet(np.ones(d))
         grad = -rng.uniform(0.5, 1.5, d)
-        assert _projected_gradient_norm(q, grad) == pytest.approx(kkt_residual(q, grad), rel=1e-12)
+        residual, gap, pushes_in = _kkt_check(q, grad)
+        assert residual == pytest.approx(kkt_residual(q, grad), rel=1e-12)
+        # the Frank-Wolfe gap max_k g_k - sum_k q_k g_k, g = -grad
+        assert gap == pytest.approx((-grad).max() - q @ -grad, rel=1e-12)
+        assert not pushes_in
     # every coordinate floored
     q = np.full(4, _Q_FLOOR)
     grad = -rng.uniform(0.5, 1.5, 4)
-    assert _projected_gradient_norm(q, grad) == pytest.approx(kkt_residual(q, grad), rel=1e-12)
+    assert _kkt_check(q, grad)[0] == pytest.approx(kkt_residual(q, grad), rel=1e-12)
     # a mix: the floored coordinate 1 has grad above mu (it pushes outward,
     # toward the floor, and adds nothing), coordinate 3 below mu (it pushes
     # inward and adds |grad_3 - mu|)
@@ -285,10 +332,15 @@ def test_projected_gradient_norm_matches_kkt_definition():
     assert grad[1] > mu > grad[3]
     expected = kkt_residual(q, grad)
     assert expected > abs(grad[3] - mu)
-    assert _projected_gradient_norm(q, grad) == pytest.approx(expected, rel=1e-12)
+    assert _kkt_check(q, grad)[0] == pytest.approx(expected, rel=1e-12)
     pushed = grad.copy()
     pushed[1] += 5.0
-    assert _projected_gradient_norm(q, pushed) == pytest.approx(expected, rel=1e-12)
+    assert _kkt_check(q, pushed)[0] == pytest.approx(expected, rel=1e-12)
+    # coordinate 3 pushes in until its gradient rises above mu
+    assert _kkt_check(q, grad)[2] and _kkt_check(q, pushed)[2]
+    outward = grad.copy()
+    outward[3] = -0.2
+    assert not _kkt_check(q, outward)[2]
 
 
 def test_rel_entropy_converges_near_dependence():
@@ -434,6 +486,20 @@ def test_monotones_never_increase_under_free_maps():
         assert re_out <= re_in + 1e-8
 
 
+def test_monotone_report_carries_the_certificate():
+    # the report's gap is the solver's own, and a converged solve certifies
+    # the value to within GAP_TOL; to_json leaves it out
+    rng = np.random.default_rng(29)
+    st = random_setting(4, rng)
+    rho = density_mixed([random_state(st, rng), random_state(st, rng)], [0.3, 0.7])
+    report = monotone_report(rho)
+    value, info = rel_entropy_superposition(rho, full_output=True)
+    assert info.converged
+    assert report.rel_entropy == value
+    assert report.gap == info.gap <= GAP_TOL
+    assert "gap" not in report.to_json()
+
+
 def test_monotone_report_refuses_a_dependent_setting():
     # lambda_min ~ 1e-13: the embedding still factors, but the basis counts
     # as dependent, as for validate and detect
@@ -493,22 +559,23 @@ def test_rel_entropy_falls_back_to_a_shortened_fixed_point_step(monkeypatch):
     # on solve 203 of the stress recipe at seed 3 (d = 5, lambda_min = 0.012)
     # the tenth Newton step is refused at every halving; the fixed-point step
     # q_k g_k^tau is taken instead, with tau backed off to 1/4.  Spies on
-    # the step and on the residual, which sees every accepted point, show it.
+    # the step and on the KKT bookkeeping, which sees every accepted point,
+    # show it.
     rho = next(itertools.islice(near_dependence_stress(3), 203, None))
     proposals, points = [], []
-    newton_step, residual = monotones._newton_step, monotones._projected_gradient_norm
+    newton_step, kkt_check = monotones._newton_step, monotones._kkt_check
 
     def spy_newton_step(q, grad, H):
         step = newton_step(q, grad, H)
         proposals.append((q, grad, step))
         return step
 
-    def spy_residual(q, grad):
+    def spy_kkt_check(q, grad):
         points.append(q)
-        return residual(q, grad)
+        return kkt_check(q, grad)
 
     monkeypatch.setattr(monotones, "_newton_step", spy_newton_step)
-    monkeypatch.setattr(monotones, "_projected_gradient_norm", spy_residual)
+    monkeypatch.setattr(monotones, "_kkt_check", spy_kkt_check)
     value, info = rel_entropy_superposition(rho, full_output=True)
 
     def fixed_point_tau(q, grad, q_next):
