@@ -210,7 +210,6 @@ class KrausSet:
     source: SuperpositionState
     target: SuperpositionState
     certificate: ChannelCertificate
-    full_rank_target: bool
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", np.array(self.ratios))
@@ -244,7 +243,6 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
             and res.annihilation <= ANNIHILATION_TOL
         ),
     )
-    full_rank = bool(np.min(np.abs(phi.coeffs)) > ZERO_TOL)
     return KrausSet(
         setting=setting,
         ratios=r,
@@ -252,7 +250,6 @@ def build_kraus_set(psi: SuperpositionState, phi: SuperpositionState) -> KrausSe
         source=psi,
         target=phi,
         certificate=cert,
-        full_rank_target=full_rank,
     )
 
 

@@ -48,7 +48,6 @@ PSD_TOL = 1e-10  # the S1 residual's eigenvalues are at least -PSD_TOL
 ANNIHILATION_TOL = 1e-10  # |R psi| of the S1 residual on the source state
 S2_EIG_TOL = 1e-13  # residual eigenpairs above this become S2 operators (sets n_s2)
 FREE_ENTRY_TOL = 1e-10  # a free Kraus column has one entry above this at most
-GRAD_TOL = 1e-8  # projected gradient norm of a converged relative-entropy solve
 GAP_TOL = 1e-10  # duality gap, value minus minimum at most, of a converged solve
 BOUND_L1_TOL = 1e-9  # slack of the l1 bound, for "within" and "attained"
 BOUND_REL_ENTROPY_TOL = 1e-5  # slack of the relative-entropy bound, likewise

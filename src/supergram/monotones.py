@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GAP_TOL, GRAD_TOL, MIN_EIG_TOL
+from .gram import BOUND_L1_TOL, BOUND_REL_ENTROPY_TOL, GAP_TOL, MIN_EIG_TOL
 from .gram import GramSetting, eigensystem, embedding
 from .states import DensityOperator, SuperpositionState
 
@@ -187,8 +187,8 @@ class RelEntropyInfo:
     ``iterations`` counts accepted steps, Newton or fixed-point alike.
     ``gradient_norm`` is the simplex KKT residual at ``q`` and ``gap`` the
     Frank-Wolfe duality gap, which bounds the value's excess over the true
-    minimum (both from ``_kkt_check``).  ``converged`` says whether the
-    residual fell to ``GRAD_TOL`` and the gap to ``GAP_TOL``.
+    minimum (both from ``_kkt_check``).  ``converged`` says whether the gap
+    fell to ``GAP_TOL``; the residual is reported, not tested.
     """
 
     value: float
@@ -228,12 +228,13 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     this iteration contracts slowly (near linear dependence) omega doubles
     up to 1e3 after each full step; a shorter step resets it to 1.
 
-    Stop: converged once the simplex KKT residual is at most ``GRAD_TOL``
-    and the duality gap max_k g_k - sum_k q_k g_k, which bounds the
-    value's excess over the minimum, at most ``GAP_TOL``.  Near linear
-    dependence rounding keeps the gap above about eps / lambda_min; a step
-    that moves q by less than 1e-15 without lowering the objective then
-    ends the solve unconverged, and so do 20000 iterations.
+    Stop: converged once the duality gap max_k g_k - sum_k q_k g_k, which
+    bounds the value's excess over the minimum, is at most ``GAP_TOL``;
+    the simplex KKT residual is reported and paces omega, but stops
+    nothing.  Near linear dependence rounding keeps the gap above about
+    eps / lambda_min; a step that moves q by less than 1e-15 without
+    lowering the objective then ends the solve unconverged, and so do
+    20000 iterations.
 
     Cost: a trial point is one eigendecomposition of sigma; a Newton
     iteration adds the Hessian (2d products of d x d matrices) and one
@@ -290,7 +291,7 @@ def rel_entropy_superposition(rho, full_output: bool = False):
     iterations = 0
     pg_norm, gap, pushes_in = _kkt_check(q, grad)
     omega = 1.0
-    while (pg_norm > GRAD_TOL or gap > GAP_TOL) and iterations < _MAX_ITER:
+    while gap > GAP_TOL and iterations < _MAX_ITER:
         cand = None
         if triples is not None and not pushes_in:
             cand = newton(q, val, grad, eig)
@@ -323,8 +324,7 @@ def rel_entropy_superposition(rho, full_output: bool = False):
             break
 
     value = max(val, 0.0)
-    converged = bool(pg_norm <= GRAD_TOL and gap <= GAP_TOL)
-    info = RelEntropyInfo(value, q, iterations, pg_norm, gap, converged)
+    info = RelEntropyInfo(value, q, iterations, pg_norm, gap, bool(gap <= GAP_TOL))
     return (value, info) if full_output else value
 
 

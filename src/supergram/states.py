@@ -47,10 +47,6 @@ class SuperpositionState:
         object.__setattr__(self, "coeffs", coeffs)
         self.coeffs.setflags(write=False)
 
-    @property
-    def d(self) -> int:
-        return self.setting.d
-
 
 def normalize(psi_raw, setting: GramSetting) -> SuperpositionState:
     """Scale a raw coefficient vector to psi^dag G psi = 1 and fix its

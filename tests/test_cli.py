@@ -295,6 +295,7 @@ def test_negative_exponent_values_parse_when_separated(tmp_path):
     ["--family", "d-equal-real", "--d", "1", "--from", "-0.1", "--to", "0", "--step", "0.1"],
     ["--family", "d-equal-real", "--d", "0", "--from", "-0.1", "--to", "0", "--step", "0.1"],
     ["--family", "d-equal-real", "--d", "1001", "--from", "-1e-3", "--to", "0", "--step", "1e-3"],
+    ["--family", "d2-real", "--from", "0", "--to", "0.5", "--step", "1e-13"],
 ])
 def test_scan_rejects_out_of_range_flags(tmp_path, capsys, monkeypatch, flags):
     # refused before any setting is built

@@ -434,7 +434,7 @@ def test_apply_map_identity_operator_set():
     )
     kset = KrausSet(
         setting=st, ratios=np.zeros((2, 2), dtype=complex), s2=(eye_op,),
-        source=psi, target=psi, certificate=cert, full_rank_target=True,
+        source=psi, target=psi, certificate=cert,
     )
     rho = density_mixed([random_state(st, rng), random_state(st, rng)], [0.5, 0.5])
     out = apply_map(kset, rho)
@@ -460,7 +460,6 @@ def test_apply_map_requires_certificate():
         source=kset.source,
         target=kset.target,
         certificate=bad_cert,
-        full_rank_target=kset.full_rank_target,
     )
     with pytest.raises(ValueError):
         apply_map(broken, density_pure(psi))
@@ -491,6 +490,19 @@ def test_apply_mixed_matches_target_mixture():
     out = apply_mixed(psi, [t1, t2], [0.3, 0.7])
     expected = density_mixed([t1, t2], [0.3, 0.7])
     assert np.linalg.norm(out.matrix - expected.matrix) <= 1e-11
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda psi, other: build_kraus_set(psi, other), "share one setting"),
+    (lambda psi, other: apply_map(build_kraus_set(psi, psi), density_pure(other)), "different settings"),
+    (lambda psi, other: apply_mixed(psi, [psi, psi], [1.0]), "one weight per target"),
+    (lambda psi, other: apply_mixed(psi, [psi, psi], [0.5, 0.4]), "probability vector"),
+], ids=["build-two-settings", "apply-two-settings", "mixed-weight-count", "mixed-weight-sum"])
+def test_channels_refuse_invalid_input(call, message):
+    _, psi = golden_d2()
+    other = normalize(np.array([1.0, 0.0]), build_setting(2, [(1, 2, 0.3)]))
+    with pytest.raises(ValueError, match=message):
+        call(psi, other)
 
 
 # ------------------------------------------------------------ freeness closure

@@ -67,6 +67,19 @@ def test_candidate_form_rejects_inconsistent_data():
         candidate_form(st, 0.9, np.zeros(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda st: candidate_form(st, 0.0, np.zeros(2)), "lambda_min must be positive"),
+    (lambda st: candidate_form(st, -0.4, np.zeros(2)), "lambda_min must be positive"),
+    (lambda st: candidate_form(st, 0.4, np.zeros(3)), "expected 2 phases"),
+    (lambda st: closed_form_d2(1.0), r"\|s\| must be < 1"),
+    (lambda st: closed_form_d2(-1.5), r"\|s\| must be < 1"),
+], ids=["lambda-zero", "lambda-negative", "phase-count", "s-one", "s-below-minus-one"])
+def test_closed_forms_refuse_invalid_input(call, message):
+    st = build_setting(2, [(1, 2, 0.6)])
+    with pytest.raises(ValueError, match=message):
+        call(st)
+
+
 # ------------------------------------------------------------------------ detect
 
 def test_detect_d2_real_found():

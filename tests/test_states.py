@@ -118,7 +118,7 @@ def test_value_types_copy_their_input():
     cert = ChannelCertificate(n_s1=2, n_s2=0, frobenius_residual=0.0, psd_margin=0.0,
                               annihilation=0.0, passed=True)
     kset = KrausSet(setting=st, ratios=ratios, s2=(), source=psi,
-                    target=psi, certificate=cert, full_rank_target=True)
+                    target=psi, certificate=cert)
     for base in (vec, mat, gram, kraus, evals, evecs, resid, ratios):
         assert base.flags.writeable
         base[0] = 5.0
@@ -207,6 +207,24 @@ def test_density_mixed_weight_validation():
     a, b = random_state(st, rng), random_state(st, rng)
     rho = density_mixed([a, b], [0.3, 0.7])
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda st: SuperpositionState(np.ones(3) / np.sqrt(3), st), "expected 2 coefficients"),
+    (lambda st: DensityOperator(np.eye(3) / 3, st), "expected a 2x2 matrix"),
+    (lambda st: DensityOperator([[0.5, 0.1], [0.0, 0.5]], st), "not Hermitian"),
+    (lambda st: DensityOperator(np.diag([0.5, 0.6]), st), "has trace 1.1"),
+    (lambda st: DensityOperator(np.diag([1.5, -0.5]), st), "not positive semidefinite"),
+    (lambda st: density_mixed([normalize([1.0, 0.0], st)], [0.5, 0.5]), "one weight per state"),
+    (lambda st: density_mixed([normalize([1.0, 0.0], st)] * 2, [1.5, -0.5]), "nonnegative"),
+    (lambda st: density_mixed([normalize([1.0, 0.0], st), normalize([1.0, 0.0], build_setting(2, []))],
+                              [0.5, 0.5]), "share one setting"),
+], ids=["state-shape", "density-shape", "density-hermitian", "density-trace", "density-psd",
+        "mixed-weight-count", "mixed-negative-weight", "mixed-two-settings"])
+def test_states_refuse_invalid_input(build, message):
+    st = build_setting(2, [(1, 2, 0.6)])
+    with pytest.raises(ValueError, match=message):
+        build(st)
 
 
 def test_inner_matches_embedding_frame():
